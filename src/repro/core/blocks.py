@@ -9,7 +9,8 @@ non-rectangular component ever appears.
 
 The default ``"vectorized"`` backend runs one union-find label pass and
 reduces bounding boxes, sizes and per-block fault counts with
-``bincount``-style scatter reductions — no per-component grid scans.
+``bincount``-style scatter reductions — no per-component grid scans —
+and stores each block's cells and faults at the block's own rectangle.
 The ``"reference"`` backend keeps the original per-component path as
 the oracle; both return the identical block list (property tested).
 """
@@ -22,7 +23,7 @@ from typing import List
 import numpy as np
 
 from repro.errors import GeometryError
-from repro.geometry.cells import CellSet
+from repro.geometry.cells import CellSet, member_coords
 from repro.geometry.components import (
     _check_backend,
     _label_coords,
@@ -123,8 +124,8 @@ def extract_blocks(
         return blocks
 
     shape = unsafe.shape
-    xs, ys = np.nonzero(unsafe)
-    fx, fy = np.nonzero(faulty)
+    xs, ys = member_coords(unsafe)
+    fx, fy = member_coords(faulty)
     # Fault containment and fault->block mapping in one binary search:
     # a fault's linear index must appear in the sorted unsafe scan.
     lin = xs * shape[1] + ys
@@ -146,14 +147,12 @@ def extract_blocks(
     np.maximum.at(x1, comp_of, xs)
     np.maximum.at(y1, comp_of, ys)
     areas = (x1 - x0 + 1) * (y1 - y0 + 1)
-    bad = np.nonzero(sizes != areas)[0]
+    bad = np.flatnonzero(sizes != areas)
     if bad.size:
-        culprit_mask = np.zeros(shape, dtype=bool)
         members = comp_of == bad[0]
-        culprit_mask[xs[members], ys[members]] = True
+        culprit = CellSet._from_members(shape, xs[members], ys[members])
         raise GeometryError(
-            f"faulty block {CellSet(culprit_mask)!r} is not a rectangle — "
-            "phase-1 labels corrupt"
+            f"faulty block {culprit!r} is not a rectangle — phase-1 labels corrupt"
         )
     # Faults grouped by owning block (stable sort keeps row-major order).
     fcomp = comp_of[fpos]
@@ -164,16 +163,20 @@ def extract_blocks(
     blocks = []
     for k in range(count):
         rect = Rect(int(x0[k]), int(y0[k]), int(x1[k]), int(y1[k]))
-        cells_mask = np.zeros(shape, dtype=bool)
-        cells_mask[rect.x0 : rect.x1 + 1, rect.y0 : rect.y1 + 1] = True
-        faults_mask = np.zeros(shape, dtype=bool)
+        box = (rect.x0, rect.y0, rect.x1, rect.y1)
         members = slice(fbounds[k], fbounds[k + 1])
-        faults_mask[fx[members], fy[members]] = True
         blocks.append(
             FaultyBlock(
-                cells=CellSet._from_owned(cells_mask, int(sizes[k])),
+                cells=CellSet._from_box(
+                    shape,
+                    (rect.x0, rect.y0),
+                    np.ones((rect.width, rect.height), dtype=bool),
+                    int(sizes[k]),
+                ),
                 rect=rect,
-                faults=CellSet._from_owned(faults_mask, int(fcounts[k])),
+                faults=CellSet._from_members(
+                    shape, fx[members], fy[members], box, int(fcounts[k])
+                ),
             )
         )
     return blocks

@@ -154,13 +154,14 @@ class LabelingResult:
         paper averages these per-block percentages.
         """
         enabled = self.labels.enabled
+        faulty = self.labels.faulty
         ratios: List[float] = []
         for b in self.blocks:
             if not b.reducible:
                 continue
-            nonfaulty = b.cells.mask & ~self.labels.faulty
-            freed = int((nonfaulty & enabled).sum())
-            ratios.append(freed / int(nonfaulty.sum()))
+            box = np.s_[b.rect.x0 : b.rect.x1 + 1, b.rect.y0 : b.rect.y1 + 1]
+            freed = int(np.count_nonzero(enabled[box] & ~faulty[box]))
+            ratios.append(freed / b.num_nonfaulty)
         return ratios
 
     def summary(self) -> dict:

@@ -21,10 +21,11 @@ from typing import List
 import numpy as np
 
 from repro.errors import GeometryError
-from repro.geometry.cells import CellSet
+from repro.geometry.cells import CellSet, member_coords
 from repro.geometry.components import (
     _check_backend,
     _label_coords,
+    _split_members,
     connected_components,
 )
 from repro.types import BoolGrid
@@ -107,8 +108,8 @@ def extract_regions(
         return regions
 
     shape = disabled.shape
-    xs, ys = np.nonzero(disabled)
-    fx, fy = np.nonzero(faulty)
+    xs, ys = member_coords(disabled)
+    fx, fy = member_coords(faulty)
     # Fault containment and fault->region mapping in one binary search.
     lin = xs * shape[1] + ys
     flin = fx * shape[1] + fy
@@ -118,36 +119,24 @@ def extract_regions(
     comp_of, count = _label_coords(xs, ys, shape, connectivity=8)
     if count == 0:
         return []
-    sizes = np.bincount(comp_of, minlength=count)
     fcomp = comp_of[fpos]
     fcounts = np.bincount(fcomp, minlength=count)
-    empty = np.nonzero(fcounts == 0)[0]
+    empty = np.flatnonzero(fcounts == 0)
     if empty.size:
-        culprit_mask = np.zeros(shape, dtype=bool)
         members = comp_of == empty[0]
-        culprit_mask[xs[members], ys[members]] = True
+        culprit = CellSet._from_members(shape, xs[members], ys[members])
         raise GeometryError(
-            f"disabled region {CellSet(culprit_mask)!r} contains no fault — "
+            f"disabled region {culprit!r} contains no fault — "
             "phase-2 labels corrupt"
         )
-    order = np.argsort(comp_of, kind="stable")
-    xs, ys = xs[order], ys[order]
-    bounds = np.concatenate(([0], np.cumsum(sizes)))
     forder = np.argsort(fcomp, kind="stable")
     fx, fy = fx[forder], fy[forder]
     fbounds = np.concatenate(([0], np.cumsum(fcounts)))
     regions = []
-    for k in range(count):
-        cells_mask = np.zeros(shape, dtype=bool)
-        members = slice(bounds[k], bounds[k + 1])
-        cells_mask[xs[members], ys[members]] = True
-        faults_mask = np.zeros(shape, dtype=bool)
+    for k, cells in enumerate(_split_members(shape, xs, ys, comp_of, count)):
         fmembers = slice(fbounds[k], fbounds[k + 1])
-        faults_mask[fx[fmembers], fy[fmembers]] = True
-        regions.append(
-            DisabledRegion(
-                cells=CellSet._from_owned(cells_mask, int(sizes[k])),
-                faults=CellSet._from_owned(faults_mask, int(fcounts[k])),
-            )
+        faults = CellSet._from_members(
+            shape, fx[fmembers], fy[fmembers], cells.bounding_box(), int(fcounts[k])
         )
+        regions.append(DisabledRegion(cells=cells, faults=faults))
     return regions

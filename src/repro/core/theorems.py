@@ -30,7 +30,7 @@ Checked claims:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,11 +38,10 @@ from repro.core.pipeline import LabelingResult
 from repro.core.regions import DisabledRegion
 from repro.core.status import SafetyDefinition
 from repro.geometry.boundary import corner_cells
-from repro.geometry.cells import CellSet
 from repro.geometry.components import set_distance
 from repro.geometry.orthoconvex import is_orthoconvex, orthoconvex_closure
 from repro.geometry.quadrants import quadrant_extreme_corner, quadrants_with_members
-from repro.geometry.rectangles import is_rectangle
+from repro.geometry.rectangles import Rect, bounding_rect, is_rectangle
 from repro.geometry.staircase import connect_orthoconvex
 from repro.mesh.coords import Quadrant
 
@@ -90,31 +89,58 @@ def check_blocks_rectangular(result: LabelingResult) -> CheckOutcome:
     return _ok(claim)
 
 
+def _near_pairs(rects: List[Rect], need: int) -> List[Tuple[int, int]]:
+    """Index pairs ``(i, j)``, ``i < j``, of rectangles closer than
+    ``need``, in lexicographic order.
+
+    A sweep over the rectangles sorted by ``x0``: only those starting
+    within ``need`` columns of a rectangle's right edge can be that
+    close, so clustered layouts cost about linear time, not quadratic.
+    """
+    if len(rects) < 2:
+        return []
+    box = np.array([(r.x0, r.y0, r.x1, r.y1) for r in rects], dtype=np.int64)
+    order = np.argsort(box[:, 0], kind="stable")
+    sx0 = box[order, 0]
+    ends = np.searchsorted(sx0, box[order, 2] + need, side="left")
+    pairs: List[Tuple[int, int]] = []
+    for k in range(len(rects)):
+        cand = order[k + 1 : ends[k]]
+        if not cand.size:
+            continue
+        i = int(order[k])
+        lo = np.maximum(box[i, :2], box[cand, :2])
+        hi = np.minimum(box[i, 2:], box[cand, 2:])
+        gap = np.maximum(0, lo - hi).sum(axis=1)
+        pairs.extend((min(i, j), max(i, j)) for j in cand[gap < need].tolist())
+    return sorted(pairs)
+
+
 def check_block_separation(result: LabelingResult) -> CheckOutcome:
     """Distance between faulty blocks >= 3 (Def 2a) / >= 2 (Def 2b)."""
     need = result.definition.min_block_separation
     claim = f"block separation >= {need}"
     blocks = result.blocks
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            d = blocks[i].rect.distance(blocks[j].rect)
-            if d < need:
-                return _fail(
-                    claim,
-                    f"blocks {blocks[i].rect} and {blocks[j].rect} at distance {d}",
-                )
+    near = _near_pairs([b.rect for b in blocks], need)
+    if near:
+        a, b = blocks[near[0][0]].rect, blocks[near[0][1]].rect
+        return _fail(claim, f"blocks {a} and {b} at distance {a.distance(b)}")
     return _ok(claim)
 
 
 def check_region_separation(result: LabelingResult) -> CheckOutcome:
-    """Distance between disabled regions >= 2 (Section 3)."""
+    """Distance between disabled regions >= 2 (Section 3).
+
+    Two sets are at least as far apart as their bounding boxes, so only
+    regions whose boxes are closer than 2 need the member-wise distance.
+    """
     claim = "region separation >= 2"
     regions = result.regions
-    for i in range(len(regions)):
-        for j in range(i + 1, len(regions)):
-            d = set_distance(regions[i].cells, regions[j].cells)
-            if d < 2:
-                return _fail(claim, f"regions {i} and {j} at distance {d}")
+    boxes = [bounding_rect(r.cells) for r in regions]
+    for i, j in _near_pairs(boxes, 2):
+        d = set_distance(regions[i].cells, regions[j].cells)
+        if d < 2:
+            return _fail(claim, f"regions {i} and {j} at distance {d}")
     return _ok(claim)
 
 
@@ -160,15 +186,15 @@ def check_lemma3(region: DisabledRegion, samples: int = 64) -> CheckOutcome:
     empty of region nodes.  Checks every outside node of the region's
     bounding box neighbourhood, capped at ``samples`` per region."""
     claim = "lemma 3 (outside nodes have an empty quadrant)"
-    mask = region.cells.mask
-    w, h = mask.shape
-    x0, y0, x1, y1 = region.cells.bounding_box()
+    cells = region.cells
+    w, h = cells.shape
+    x0, y0, x1, y1 = cells.bounding_box()
     checked = 0
     for x in range(max(0, x0 - 1), min(w, x1 + 2)):
         for y in range(max(0, y0 - 1), min(h, y1 + 2)):
-            if mask[x, y]:
+            if (x, y) in cells:
                 continue
-            occupancy = quadrants_with_members(region.cells, (x, y))
+            occupancy = quadrants_with_members(cells, (x, y))
             if all(occupancy.values()):
                 return _fail(claim, f"outside node ({x},{y}) sees all 4 quadrants")
             checked += 1
@@ -205,9 +231,14 @@ def check_corollary(result: LabelingResult) -> CheckOutcome:
     for b in result.blocks:
         if not b.faults:
             continue
-        in_regions = int((b.cells.mask & disabled & ~faulty).sum())
-        single_ocp = connect_orthoconvex(b.faults)
-        in_ocp = int((single_ocp.mask & ~faulty).sum())
+        r = b.rect
+        box = np.s_[r.x0 : r.x1 + 1, r.y0 : r.y1 + 1]
+        in_regions = int(np.count_nonzero(disabled[box] & ~faulty[box]))
+        if not in_regions:
+            continue  # no nonfaulty node kept disabled: the bound holds
+        x0, y0, ocp = connect_orthoconvex(b.faults).box_mask()
+        ocp_faulty = faulty[x0 : x0 + ocp.shape[0], y0 : y0 + ocp.shape[1]]
+        in_ocp = int(np.count_nonzero(ocp & ~ocp_faulty))
         if in_regions > in_ocp:
             return _fail(
                 claim,

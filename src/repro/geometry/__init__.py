@@ -8,7 +8,7 @@ and the canonical L/T/+/U/H fault shapes.
 """
 
 from repro.geometry.boundary import boundary_loops, corner_cells, perimeter
-from repro.geometry.cells import CellSet
+from repro.geometry.cells import CellSet, member_coords
 from repro.geometry.components import (
     GEOMETRY_BACKENDS,
     connected_components,
@@ -49,6 +49,7 @@ __all__ = [
     "is_orthoconvex",
     "is_rectangle",
     "label_components",
+    "member_coords",
     "monotone_path_within",
     "orthoconvex_closure",
     "perimeter",

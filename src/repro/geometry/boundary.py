@@ -22,8 +22,8 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.errors import GeometryError
-from repro.geometry.cells import CellSet
-from repro.types import BoolGrid, Coord
+from repro.geometry.cells import CellSet, member_coords
+from repro.types import Coord
 
 __all__ = ["boundary_loops", "perimeter", "corner_cells"]
 
@@ -37,25 +37,28 @@ _RIGHT_OF = {
 }
 
 
-def _directed_edges(mask: BoolGrid) -> Dict[Coord, List[Coord]]:
+def _directed_edges(cells: CellSet) -> Dict[Coord, List[Coord]]:
     """All boundary edges as ``start_vertex -> [end_vertex, ...]``.
 
     Each edge is directed so the owning cell (the interior) lies on its
     left.  Cell ``(x, y)`` contributes its south/east/north/west side
-    whenever the neighbour across that side is absent.
+    whenever the neighbour across that side is absent.  Runs on the
+    set's bounding box: a neighbour beyond the box is absent.
     """
+    x0, y0, mask = cells.box_mask()
     w, h = mask.shape
     edges: Dict[Coord, List[Coord]] = {}
 
     def add(a: Coord, b: Coord) -> None:
         edges.setdefault(a, []).append(b)
 
-    xs, ys = np.nonzero(mask)
-    for x, y in zip(xs.tolist(), ys.tolist()):
-        south = y > 0 and mask[x, y - 1]
-        north = y < h - 1 and mask[x, y + 1]
-        west = x > 0 and mask[x - 1, y]
-        east = x < w - 1 and mask[x + 1, y]
+    xs, ys = member_coords(mask)
+    for lx, ly in zip(xs.tolist(), ys.tolist()):
+        south = ly > 0 and mask[lx, ly - 1]
+        north = ly < h - 1 and mask[lx, ly + 1]
+        west = lx > 0 and mask[lx - 1, ly]
+        east = lx < w - 1 and mask[lx + 1, ly]
+        x, y = lx + x0, ly + y0
         if not south:
             add((x, y), (x + 1, y))          # east-bound, cell above on left
         if not east:
@@ -82,7 +85,7 @@ def boundary_loops(cells: CellSet) -> List[List[Coord]]:
     """
     if not cells:
         raise GeometryError("cannot trace the boundary of an empty region")
-    edges = _directed_edges(cells.mask)
+    edges = _directed_edges(cells)
     used: set[Tuple[Coord, Coord]] = set()
     loops: List[List[Coord]] = []
 
@@ -132,22 +135,15 @@ def _merge_collinear(loop: List[Coord]) -> List[Coord]:
 def perimeter(cells: CellSet) -> int:
     """Total boundary length (number of unit boundary edges).
 
-    Counted as occupancy transitions along each axis plus the grid-edge
-    sides — a whole-grid reduction, no per-cell edge walk.
+    Counted as occupancy transitions along each axis of the bounding
+    box padded with one empty cell per side — a box-wide reduction, no
+    per-cell edge walk.
     """
     if not cells:
         return 0
-    mask = cells.mask
-    vertical = (
-        int(np.count_nonzero(mask[1:, :] != mask[:-1, :]))
-        + int(np.count_nonzero(mask[0, :]))
-        + int(np.count_nonzero(mask[-1, :]))
-    )
-    horizontal = (
-        int(np.count_nonzero(mask[:, 1:] != mask[:, :-1]))
-        + int(np.count_nonzero(mask[:, 0]))
-        + int(np.count_nonzero(mask[:, -1]))
-    )
+    mask = _padded(cells.box_mask()[2])
+    vertical = int(np.count_nonzero(mask[1:, :] != mask[:-1, :]))
+    horizontal = int(np.count_nonzero(mask[:, 1:] != mask[:, :-1]))
     return vertical + horizontal
 
 
@@ -159,17 +155,20 @@ def corner_cells(cells: CellSet) -> CellSet:
     beyond the edge is a ghost node, which is never part of a fault
     region.  Lemma 1 states every corner node of a disabled region is
     faulty; :mod:`repro.core.theorems` checks that via this function.
+    Computed on the bounding box padded with one empty cell per side,
+    which stands for both the rest of the grid and the ghost nodes.
     """
-    mask = cells.mask
-    w, h = mask.shape
-    east = np.zeros_like(mask)
-    east[:-1, :] = mask[1:, :]
-    west = np.zeros_like(mask)
-    west[1:, :] = mask[:-1, :]
-    north = np.zeros_like(mask)
-    north[:, :-1] = mask[:, 1:]
-    south = np.zeros_like(mask)
-    south[:, 1:] = mask[:, :-1]
-    out_x = ~east | ~west  # some X-neighbour outside (or beyond the grid edge)
-    out_y = ~north | ~south
-    return CellSet(mask & out_x & out_y)
+    if not cells:
+        return cells
+    x0, y0, mask = cells.box_mask()
+    p = _padded(mask)
+    out_x = ~p[2:, 1:-1] | ~p[:-2, 1:-1]  # some X-neighbour outside
+    out_y = ~p[1:-1, 2:] | ~p[1:-1, :-2]
+    return CellSet._from_box(cells.shape, (x0, y0), mask & out_x & out_y)
+
+
+def _padded(mask: np.ndarray) -> np.ndarray:
+    """``mask`` framed by one empty cell on every side."""
+    out = np.zeros((mask.shape[0] + 2, mask.shape[1] + 2), dtype=bool)
+    out[1:-1, 1:-1] = mask
+    return out

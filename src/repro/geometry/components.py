@@ -34,7 +34,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.geometry.cells import CellSet
+from repro.geometry.cells import CellSet, member_coords
 from repro.types import BoolGrid
 
 __all__ = [
@@ -77,10 +77,11 @@ def _label_coords(
     """Union-find labeling in coordinate space.
 
     ``xs``/``ys`` must be the row-major member scan of a mask (exactly
-    what ``np.nonzero`` returns).  Working on coordinates instead of the
-    grid keeps every pass proportional to the member count, not the grid
-    area — neighbour lookups are binary searches into the sorted linear
-    index, so no run grid is ever materialised.
+    what :func:`~repro.geometry.cells.member_coords` returns).  Working
+    on coordinates instead of the grid keeps every pass proportional to
+    the member count, not the grid area — neighbour lookups are binary
+    searches into the sorted linear index, so no run grid is ever
+    materialised.
 
     Returns ``(comp_of, count)`` where ``comp_of[i]`` is the component
     index of member ``i``; components are numbered ``0..count-1`` by
@@ -174,7 +175,7 @@ def label_components(mask: BoolGrid, connectivity: int = 4) -> Tuple[np.ndarray,
     """
     _check_connectivity(connectivity)
     labels = np.full(mask.shape, -1, dtype=np.int32)
-    xs, ys = np.nonzero(mask)
+    xs, ys = member_coords(mask)
     comp_of, count = _label_coords(xs, ys, mask.shape, connectivity)
     labels[xs, ys] = comp_of
     return labels, count
@@ -207,22 +208,41 @@ def connected_components(
     if backend == "reference":
         return _connected_components_reference(cells, connectivity)
     _check_connectivity(connectivity)
-    xs, ys = np.nonzero(cells.mask)
+    xs, ys = cells.members()
     comp, count = _label_coords(xs, ys, cells.shape, connectivity)
-    if count == 0:
-        return []
-    sizes = np.bincount(comp, minlength=count)
+    return _split_members(cells.shape, xs, ys, comp, count)
+
+
+def _split_members(
+    shape: Tuple[int, int],
+    xs: np.ndarray,
+    ys: np.ndarray,
+    comp_of: np.ndarray,
+    count: int,
+) -> List[CellSet]:
+    """One :class:`CellSet` per component, each stored at its own
+    bounding box (so the cost is the members plus the boxes, never the
+    grid).  ``xs``/``ys`` is a row-major member scan and ``comp_of`` the
+    component index of each member, as :func:`_label_coords` returns."""
+    sizes = np.bincount(comp_of, minlength=count)
     # Stable sort groups member cells by component while preserving the
-    # row-major order inside each group.
-    order = np.argsort(comp, kind="stable")
-    xs_g, ys_g = xs[order], ys[order]
+    # row-major order inside each group, so a group's first and last
+    # members hold its smallest and largest x.
+    order = np.argsort(comp_of, kind="stable")
+    xs, ys = xs[order], ys[order]
     bounds = np.concatenate(([0], np.cumsum(sizes)))
+    starts = bounds[:-1]
+    x0, x1 = xs[starts], xs[bounds[1:] - 1]
+    y0 = np.minimum.reduceat(ys, starts)
+    y1 = np.maximum.reduceat(ys, starts)
+    lx = xs - np.repeat(x0, sizes)
+    ly = ys - np.repeat(y0, sizes)
+    boxes = zip(x0.tolist(), y0.tolist(), x1.tolist(), y1.tolist())
     components: List[CellSet] = []
-    for k in range(count):
-        comp_mask = np.zeros(cells.shape, dtype=bool)
-        sl = slice(bounds[k], bounds[k + 1])
-        comp_mask[xs_g[sl], ys_g[sl]] = True
-        components.append(CellSet._from_owned(comp_mask, int(sizes[k])))
+    for a, b, box in zip(starts.tolist(), bounds[1:].tolist(), boxes):
+        local = np.zeros((box[2] - box[0] + 1, box[3] - box[1] + 1), dtype=bool)
+        local[lx[a:b], ly[a:b]] = True
+        components.append(CellSet._from_box(shape, box[:2], local, b - a, box))
     return components
 
 
@@ -238,7 +258,7 @@ def _connected_components_reference(
     seen = np.zeros_like(mask)
     components: List[CellSet] = []
 
-    xs, ys = np.nonzero(mask)
+    xs, ys = member_coords(mask)
     for sx, sy in zip(xs.tolist(), ys.tolist()):
         if seen[sx, sy]:
             continue
@@ -268,7 +288,7 @@ def is_connected(
     if backend == "reference":
         return len(_connected_components_reference(cells, connectivity)) == 1
     _check_connectivity(connectivity)
-    xs, ys = np.nonzero(cells.mask)
+    xs, ys = cells.members()
     return _label_coords(xs, ys, cells.shape, connectivity)[1] == 1
 
 
@@ -295,12 +315,13 @@ def set_distance(a: CellSet, b: CellSet) -> int:
     """Minimum Manhattan distance between members of two non-empty sets.
 
     This is the paper's ``d(A, B) = min over u in A, v in B of d(u, v)``.
-    Computed with a vectorized all-pairs reduction; fault regions are
-    small so the quadratic pair count is immaterial.
+    Computed with a vectorized all-pairs reduction over the member
+    scans; fault regions are small so the quadratic pair count is
+    immaterial.
     """
     if not a or not b:
         raise ValueError("set_distance of an empty cell set")
-    ax, ay = np.nonzero(a.mask)
-    bx, by = np.nonzero(b.mask)
+    ax, ay = a.members()
+    bx, by = b.members()
     d = np.abs(ax[:, None] - bx[None, :]) + np.abs(ay[:, None] - by[None, :])
     return int(d.min())

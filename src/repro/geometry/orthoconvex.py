@@ -21,6 +21,8 @@ theorem checkers in :mod:`repro.core.theorems` verify precisely that.
 All operations are vectorized: span filling is two ``logical_or``
 scans per axis, and the closure iterates them to a fixpoint (it
 converges in at most ``width + height`` sweeps; in practice a handful).
+Every predicate and the closure run on the set's bounding box alone:
+span filling never leaves the box, so cells outside it cannot matter.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from repro.errors import GeometryError
 from repro.geometry.cells import CellSet
-from repro.geometry.components import connected_components, is_connected
+from repro.geometry.components import _check_backend, is_connected
 from repro.types import BoolGrid
 
 __all__ = [
@@ -49,10 +51,9 @@ def _span_mask(mask: BoolGrid, axis: int) -> BoolGrid:
     ``out[c]`` is True iff the line through ``c`` along ``axis`` has a
     member cell at or before ``c`` *and* one at or after ``c``.
     """
+    rev = np.s_[::-1] if axis == 0 else np.s_[:, ::-1]
     forward = np.logical_or.accumulate(mask, axis=axis)
-    backward = np.flip(
-        np.logical_or.accumulate(np.flip(mask, axis=axis), axis=axis), axis=axis
-    )
+    backward = np.logical_or.accumulate(mask[rev], axis=axis)[rev]
     return forward & backward
 
 
@@ -82,20 +83,29 @@ def is_orthoconvex(
         allowed), which is part of what Theorem 1 asserts for disabled
         regions.  Set to False to test span-contiguity alone.
     backend:
-        Geometry backend for the connectivity half of the test
-        (``"vectorized"`` union-find or the ``"reference"`` BFS oracle);
-        the span-contiguity half is whole-grid either way.
+        Geometry backend for the connectivity half of the test.  The
+        ``"reference"`` BFS oracle floods the set; ``"vectorized"``
+        needs no labeling at all: once every row is one run, the set is
+        8-connected iff no row of its bounding box is empty and the runs
+        of consecutive rows overlap or touch at a corner.  Both halves
+        run on the bounding box.
     """
     if not cells:
         return False
-    mask = cells.mask
-    if np.any(_span_mask(mask, 0) & ~mask):
+    _, _, mask = cells.box_mask()
+    first, last, counts, rows = extents = _line_extents(mask, axis=0)
+    if _broken_lines(*extents).size:
         return False
-    if np.any(_span_mask(mask, 1) & ~mask):
+    if _broken_lines(*_line_extents(mask, axis=1)).size:
         return False
-    if require_connected and not is_connected(cells, connectivity=8, backend=backend):
-        return False
-    return True
+    if not require_connected:
+        return True
+    _check_backend(backend)
+    if backend == "reference":
+        return is_connected(cells, connectivity=8, backend="reference")
+    return rows.size == counts.size and bool(
+        np.all(first[1:] <= last[:-1] + 1) and np.all(first[:-1] <= last[1:] + 1)
+    )
 
 
 def orthoconvex_closure(cells: CellSet, max_iter: int | None = None) -> CellSet:
@@ -118,14 +128,14 @@ def orthoconvex_closure(cells: CellSet, max_iter: int | None = None) -> CellSet:
     """
     if not cells:
         return cells
-    w, h = cells.shape
+    x0, y0, mask = cells.box_mask()
+    w, h = mask.shape
     budget = max_iter if max_iter is not None else (w + h + 2)
-    mask = cells.mask.copy()
     for _ in range(budget):
         new = fill_spans(mask, 0)
         new = fill_spans(new, 1)
         if np.array_equal(new, mask):
-            return CellSet(mask)
+            return CellSet._from_box(cells.shape, (x0, y0), new)
         mask = new
     raise GeometryError(f"orthoconvex closure failed to converge in {budget} sweeps")
 
@@ -142,28 +152,34 @@ def row_runs(cells: CellSet) -> List[Tuple[int, int, int]]:
     GeometryError
         If some occupied row is not a single contiguous run.
     """
-    first, last, counts, lines = _line_extents(cells.mask, axis=0)
-    bad = lines[(counts[lines] != last[lines] - first[lines] + 1)]
+    if not cells:
+        return []
+    x0, y0, mask = cells.box_mask()
+    first, last, counts, lines = extents = _line_extents(mask, axis=0)
+    bad = _broken_lines(*extents)
     if bad.size:
-        raise GeometryError(f"row y={int(bad[0])} is not a contiguous run")
+        raise GeometryError(f"row y={int(bad[0]) + y0} is not a contiguous run")
     return [
-        (y, int(first[y]), int(last[y])) for y in lines.tolist()
+        (y + y0, int(first[y]) + x0, int(last[y]) + x0) for y in lines.tolist()
     ]
 
 
 def column_runs(cells: CellSet) -> List[Tuple[int, int, int]]:
     """Per-column analogue of :func:`row_runs`: ``(x, y_min, y_max)`` triples."""
-    first, last, counts, lines = _line_extents(cells.mask, axis=1)
-    bad = lines[(counts[lines] != last[lines] - first[lines] + 1)]
+    if not cells:
+        return []
+    x0, y0, mask = cells.box_mask()
+    first, last, counts, lines = extents = _line_extents(mask, axis=1)
+    bad = _broken_lines(*extents)
     if bad.size:
-        raise GeometryError(f"column x={int(bad[0])} is not a contiguous run")
+        raise GeometryError(f"column x={int(bad[0]) + x0} is not a contiguous run")
     return [
-        (x, int(first[x]), int(last[x])) for x in lines.tolist()
+        (x + x0, int(first[x]) + y0, int(last[x]) + y0) for x in lines.tolist()
     ]
 
 
 def _line_extents(mask: BoolGrid, axis: int):
-    """Whole-grid run-length summary of every grid line.
+    """Run-length summary of every line of a mask.
 
     For ``axis=0`` lines are rows of constant ``y`` (extents along x);
     for ``axis=1`` columns of constant ``x`` (extents along y).  Returns
@@ -175,8 +191,13 @@ def _line_extents(mask: BoolGrid, axis: int):
     along = 0 if axis == 0 else 1           # reduction axis
     length = mask.shape[along]
     counts = mask.sum(axis=along)
-    first = np.argmax(mask, axis=along)
-    flipped = np.flip(mask, axis=along)
-    last = length - 1 - np.argmax(flipped, axis=along)
-    occupied = np.nonzero(counts > 0)[0]
+    first = mask.argmax(axis=along)
+    flipped = mask[np.s_[::-1] if along == 0 else np.s_[:, ::-1]]
+    last = length - 1 - flipped.argmax(axis=along)
+    occupied = np.flatnonzero(counts > 0)
     return first, last, counts, occupied
+
+
+def _broken_lines(first, last, counts, occupied) -> np.ndarray:
+    """The occupied lines of :func:`_line_extents` that are not one run."""
+    return occupied[counts[occupied] != last[occupied] - first[occupied] + 1]

@@ -51,10 +51,9 @@ def quadrant_extreme_corner(
     node of the region as origin, this cell is guaranteed to be a corner
     node of the region.
     """
-    sel = cells.mask & quadrant_mask(cells.shape, origin, quadrant)
-    if not sel.any():
+    xs, ys = _in_quadrant(*cells.members(), origin, quadrant)
+    if not xs.size:
         return None
-    xs, ys = np.nonzero(sel)
     sx, sy = quadrant.value
     # Extreme y first (max signed y), then extreme x among those.
     signed_y = ys * sy
@@ -71,8 +70,16 @@ def quadrants_with_members(cells: CellSet, origin: Coord) -> Dict[Quadrant, bool
     Lemma 3: if ``origin`` is outside an orthoconvex region, at least one
     quadrant must come back False.
     """
-    out: Dict[Quadrant, bool] = {}
-    for q in Quadrant:
-        sel = cells.mask & quadrant_mask(cells.shape, origin, q)
-        out[q] = bool(sel.any())
-    return out
+    xs, ys = cells.members()
+    return {q: bool(_in_quadrant(xs, ys, origin, q)[0].size) for q in Quadrant}
+
+
+def _in_quadrant(
+    xs: np.ndarray, ys: np.ndarray, origin: Coord, quadrant: Quadrant
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The cells of a member scan inside the closed quadrant, in scan
+    order — :func:`quadrant_mask` applied to members, so the cost is the
+    set's size, not the grid's."""
+    sx, sy = quadrant.value
+    sel = ((xs - origin[0]) * sx >= 0) & ((ys - origin[1]) * sy >= 0)
+    return xs[sel], ys[sel]

@@ -118,9 +118,8 @@ class Rect:
         w, h = shape
         if self.x0 < 0 or self.y0 < 0 or self.x1 >= w or self.y1 >= h:
             raise GeometryError(f"{self} does not fit in grid {shape}")
-        mask = np.zeros(shape, dtype=bool)
-        mask[self.x0 : self.x1 + 1, self.y0 : self.y1 + 1] = True
-        return CellSet(mask)
+        local = np.ones((self.width, self.height), dtype=bool)
+        return CellSet._from_box(shape, (self.x0, self.y0), local, self.area)
 
 
 def bounding_rect(cells: CellSet) -> Rect:

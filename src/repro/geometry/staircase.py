@@ -29,7 +29,7 @@ import numpy as np
 from repro.errors import GeometryError
 from repro.geometry.cells import CellSet
 from repro.geometry.components import connected_components
-from repro.geometry.orthoconvex import orthoconvex_closure
+from repro.geometry.orthoconvex import is_orthoconvex, orthoconvex_closure
 from repro.types import Coord
 
 __all__ = ["staircase_cells", "connect_orthoconvex"]
@@ -62,8 +62,8 @@ def _closest_pair(a: CellSet, b: CellSet) -> Tuple[Coord, Coord, int]:
     The cost of joining cells ``u`` and ``v`` with a staircase is
     ``max(|dx|, |dy|) - 1`` added cells, i.e. Chebyshev distance minus 1.
     """
-    ax, ay = np.nonzero(a.mask)
-    bx, by = np.nonzero(b.mask)
+    ax, ay = a.members()
+    bx, by = b.members()
     cheb = np.maximum(
         np.abs(ax[:, None] - bx[None, :]), np.abs(ay[:, None] - by[None, :])
     )
@@ -94,9 +94,10 @@ def connect_orthoconvex(
         raise GeometryError("cannot build a polygon from an empty cell set")
     current = orthoconvex_closure(cells)
     for _ in range(max_rounds):
-        comps = connected_components(current, connectivity=8, backend=backend)
-        if len(comps) == 1:
+        # A closure is span-closed, so it is orthoconvex iff connected.
+        if is_orthoconvex(current, backend=backend):
             return current
+        comps = connected_components(current, connectivity=8, backend=backend)
         # Greedy: join the globally cheapest fragment pair.
         best: Tuple[Coord, Coord] | None = None
         best_cost = None

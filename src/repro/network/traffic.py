@@ -24,6 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import RoutingError
+from repro.geometry.cells import member_coords
 from repro.network.flits import WormPacket
 from repro.routing.base import FaultModelView, Router
 from repro.types import Coord
@@ -242,7 +243,7 @@ def synthetic_traffic(
         raise RoutingError(f"num_packets must be >= 0, got {num_packets}")
 
     width, height = view.topology.shape
-    ex, ey = np.nonzero(view.enabled)
+    ex, ey = member_coords(view.enabled)
     ex = ex.astype(np.int32)
     ey = ey.astype(np.int32)
     if ex.size < 2:

@@ -34,7 +34,7 @@ def _best_gap(mask: np.ndarray, axis: int, need: int) -> tuple[int, int] | None:
     coordinates) or None if no run of length >= ``need`` exists.
     """
     occupied = mask.any(axis=1 - axis)
-    idx = np.nonzero(occupied)[0]
+    idx = np.flatnonzero(occupied)
     lo, hi = int(idx[0]), int(idx[-1])
     best: tuple[int, int] | None = None
     run_start = None

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.pipeline import LabelingResult
 from repro.errors import RoutingError
-from repro.geometry.cells import CellSet
+from repro.geometry.cells import CellSet, member_coords
 from repro.mesh.topology import Topology
 from repro.routing.packet import DropReason, RouteResult, finish
 from repro.types import BoolGrid, Coord
@@ -100,7 +100,7 @@ class FaultModelView:
         RoutingError
             If fewer than two nodes are enabled.
         """
-        xs, ys = np.nonzero(self.enabled)
+        xs, ys = member_coords(self.enabled)
         if len(xs) < 2:
             raise RoutingError("fewer than two enabled nodes")
         i, j = rng.choice(len(xs), size=2, replace=False)

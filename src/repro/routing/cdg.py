@@ -22,6 +22,7 @@ from typing import Iterable, List, Optional, Tuple
 
 import networkx as nx
 
+from repro.geometry.cells import member_coords
 from repro.routing.base import Router
 from repro.routing.channels import Channel
 from repro.types import Coord
@@ -36,9 +37,7 @@ __all__ = [
 
 def all_enabled_pairs(router: Router) -> List[Tuple[Coord, Coord]]:
     """Every ordered pair of distinct enabled nodes (small machines only)."""
-    import numpy as np
-
-    xs, ys = np.nonzero(router.view.enabled)
+    xs, ys = member_coords(router.view.enabled)
     nodes = [(int(x), int(y)) for x, y in zip(xs, ys)]
     return list(permutations(nodes, 2))
 

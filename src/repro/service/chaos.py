@@ -153,7 +153,16 @@ class ChaosProxy:
         return thread
 
     def close(self) -> None:
+        """Stop accepting and join the accept thread.
+
+        ``close()`` alone does not wake a thread blocked in ``accept()``
+        on Linux; ``shutdown`` does, so the join returns at once.
+        """
         self._closing = True
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # never listened on, or already shut down
         try:
             self._listener.close()
         except OSError:  # pragma: no cover

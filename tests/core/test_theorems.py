@@ -2,20 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core import SafetyDefinition, label_mesh
 from repro.core.theorems import (
     RESULT_CHECKS,
+    _near_pairs,
     check_all,
     check_blocks_rectangular,
     check_corollary,
     check_lemma1,
     check_lemma2,
     check_lemma3,
+    check_region_separation,
     check_theorem1,
     check_theorem2,
 )
 from repro.faults import FaultSet, clustered, uniform_random
+from repro.geometry import Rect
 from repro.mesh import Mesh2D
 
 
@@ -136,6 +141,51 @@ class TestCheckersDetectViolations:
         assert not check_theorem2(tampered).holds
 
 
+    def test_region_separation_fails_on_adjacent_regions(self):
+        from repro.core.regions import DisabledRegion
+        from repro.geometry import CellSet
+
+        r = label([(2, 2)])
+        a = CellSet.from_coords((10, 10), [(2, 2)])
+        b = CellSet.from_coords((10, 10), [(2, 3)])
+        tampered = self._tamper(
+            r, regions=[DisabledRegion(a, a), DisabledRegion(b, b)]
+        )
+        outcome = check_region_separation(tampered)
+        assert not outcome.holds and "distance 1" in outcome.detail
+
+    def test_region_separation_looks_past_overlapping_boxes(self):
+        # B sits inside A's bounding box yet 4 steps from A's cells.
+        from repro.core.regions import DisabledRegion
+        from repro.geometry import CellSet
+
+        r = label([(2, 2)])
+        ell = [(0, y) for y in range(6)] + [(x, 0) for x in range(1, 6)]
+        a = CellSet.from_coords((10, 10), ell)
+        b = CellSet.from_coords((10, 10), [(4, 4)])
+        tampered = self._tamper(
+            r, regions=[DisabledRegion(a, a), DisabledRegion(b, b)]
+        )
+        assert check_region_separation(tampered).holds
+
+
+class TestNearPairs:
+    @given(st.lists(
+        st.tuples(st.integers(0, 30), st.integers(0, 30),
+                  st.integers(0, 4), st.integers(0, 4)),
+        max_size=25,
+    ), st.integers(1, 3))
+    def test_matches_all_pairs(self, specs, need):
+        rects = [Rect(x, y, x + dx, y + dy) for x, y, dx, dy in specs]
+        brute = [
+            (i, j)
+            for i in range(len(rects))
+            for j in range(i + 1, len(rects))
+            if rects[i].distance(rects[j]) < need
+        ]
+        assert _near_pairs(rects, need) == brute
+
+
 class TestQuadrantLemmas:
     def test_lemma2_on_pipeline_regions(self):
         r = label([(2, 2), (3, 3), (2, 4), (4, 2)])
@@ -173,3 +223,19 @@ class TestCorollary:
         faults = clustered((16, 16), 18, rng, clusters=2, spread=1.2)
         r = label_mesh(Mesh2D(16, 16), faults)
         assert check_corollary(r).holds
+
+    def test_corollary_fails_when_regions_keep_extra_nodes(self):
+        # Faults (2,2) and (3,3) form one 2x2 block whose single OCP is
+        # the diagonal pair; keeping (2,3) disabled breaks the bound.
+        import dataclasses
+
+        from repro.core.status import LabelGrid
+
+        r = label([(2, 2), (3, 3)])
+        assert check_corollary(r).holds
+        enabled = r.labels.enabled.copy()
+        enabled[2, 3] = False
+        labels = LabelGrid(r.labels.faulty, r.labels.unsafe, enabled)
+        tampered = dataclasses.replace(r, labels=labels)
+        outcome = check_corollary(tampered)
+        assert not outcome.holds and "keep 1 nonfaulty" in outcome.detail

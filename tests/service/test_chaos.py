@@ -11,6 +11,7 @@ once per effective delta) and the bit-for-bit scratch check.
 
 import socket as socket_module
 import threading
+import time
 
 import pytest
 
@@ -61,6 +62,15 @@ class TestChaosProxy:
         finally:
             a.close()
             b.close()
+
+    def test_close_wakes_the_accept_thread(self):
+        proxy = ChaosProxy(("127.0.0.1", 1), seed=3)
+        thread = proxy.serve_in_thread()
+        time.sleep(0.2)  # let the thread block in accept()
+        t0 = time.perf_counter()
+        proxy.close()
+        assert time.perf_counter() - t0 < 1.0
+        assert not thread.is_alive()
 
     @pytest.mark.parametrize("seed", [0, 7, 1234])
     def test_updates_converge_exactly_once_under_chaos(self, seed):
