@@ -18,7 +18,7 @@ the oracle; both return the identical block list (property tested).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -123,9 +123,26 @@ def extract_blocks(
             blocks.append(FaultyBlock(cells=comp, rect=rect, faults=faults_in))
         return blocks
 
-    shape = unsafe.shape
-    xs, ys = member_coords(unsafe)
-    fx, fy = member_coords(faulty)
+    return _blocks_from_members(
+        unsafe.shape, *member_coords(unsafe), *member_coords(faulty)
+    )
+
+
+def _blocks_from_members(
+    shape: Tuple[int, int],
+    xs: np.ndarray,
+    ys: np.ndarray,
+    fx: np.ndarray,
+    fy: np.ndarray,
+) -> List[FaultyBlock]:
+    """The vectorized core of :func:`extract_blocks`, on member lists.
+
+    ``(xs, ys)`` are the unsafe cells and ``(fx, fy)`` the faults, each
+    in row-major order (what :func:`member_coords` returns), so every
+    step costs time in proportion to the members, never the grid.  Same
+    output and the same :class:`GeometryError` checks as the public
+    function.
+    """
     # Fault containment and fault->block mapping in one binary search:
     # a fault's linear index must appear in the sorted unsafe scan.
     lin = xs * shape[1] + ys

@@ -117,6 +117,24 @@ def unsafe_fixpoint_sparse(
     changed area.  ``seeds=None`` seeds from every unsafe cell (always
     correct, linear in the unsafe population).
     """
+    grid, rounds, _ = _unsafe_frontier(
+        topology, faulty, definition, max_rounds, telemetry, initial, seeds
+    )
+    return grid, rounds
+
+
+def _unsafe_frontier(
+    topology: Topology,
+    faulty: BoolGrid,
+    definition: SafetyDefinition,
+    max_rounds: int | None = None,
+    telemetry: Optional[Telemetry] = None,
+    initial: Optional[BoolGrid] = None,
+    seeds: Optional[np.ndarray] = None,
+) -> Tuple[BoolGrid, int, np.ndarray]:
+    """:func:`unsafe_fixpoint_sparse` that also returns the flat indices
+    of every cell it flipped, so a caller that knows its seeds (e.g. the
+    fault members) knows the whole unsafe population without a scan."""
     if faulty.shape != topology.shape:
         raise ConvergenceError(
             f"fault mask shape {faulty.shape} != topology shape {topology.shape}"
@@ -125,7 +143,7 @@ def unsafe_fixpoint_sparse(
     width, height = topology.shape
     wraps = topology.wraps
     if initial is None:
-        grid = np.ascontiguousarray(faulty, dtype=bool).copy()
+        grid = np.array(faulty, dtype=bool, order="C")
     else:
         if initial.shape != topology.shape:
             raise ConvergenceError(
@@ -145,6 +163,7 @@ def unsafe_fixpoint_sparse(
         seed_idx = np.asarray(seeds, dtype=np.intp)
     frontier = still_safe_neighbors(seed_idx) if seed_idx.size else seed_idx
     rounds = 0
+    flips = []
     meter = _frontier_meter(telemetry)
     while frontier.size:
         if rounds > budget:
@@ -163,9 +182,11 @@ def unsafe_fixpoint_sparse(
         if flipped.size == 0:
             break
         unsafe[flipped] = True
+        flips.append(flipped)
         rounds += 1
         frontier = still_safe_neighbors(flipped)
-    return grid, rounds
+    flipped_all = np.concatenate(flips) if flips else np.empty(0, dtype=np.intp)
+    return grid, rounds, flipped_all
 
 
 def enabled_fixpoint_sparse(
@@ -185,16 +206,44 @@ def enabled_fixpoint_sparse(
     """
     if faulty.shape != topology.shape or unsafe.shape != topology.shape:
         raise ConvergenceError("label plane shapes disagree with the topology")
-    if np.any(faulty & ~unsafe):
+    faulty_flat = np.ascontiguousarray(faulty, dtype=bool).ravel()
+    members = np.flatnonzero(unsafe)
+    return _enabled_frontier(
+        topology,
+        faulty,
+        unsafe,
+        np.flatnonzero(faulty_flat),
+        members[~faulty_flat[members]],
+        max_rounds,
+        telemetry,
+    )
+
+
+def _enabled_frontier(
+    topology: Topology,
+    faulty: BoolGrid,
+    unsafe: BoolGrid,
+    fault_idx: np.ndarray,
+    unsafe_nonfaulty: np.ndarray,
+    max_rounds: int | None = None,
+    telemetry: Optional[Telemetry] = None,
+) -> Tuple[BoolGrid, int]:
+    """:func:`enabled_fixpoint_sparse` given the member lists it would
+    otherwise scan for: ``fault_idx``, the flat indices of every faulty
+    cell, and ``unsafe_nonfaulty``, those of every unsafe nonfaulty cell
+    (the first frontier).  The only whole-grid work left is building
+    the enabled plane.  The planes must have the topology's shape."""
+    if not np.ascontiguousarray(unsafe, dtype=bool).ravel()[fault_idx].all():
         raise ConvergenceError("phase-1 labels invalid: a faulty node is safe")
     budget = max_rounds if max_rounds is not None else (topology.num_nodes + 2)
     width, height = topology.shape
     wraps = topology.wraps
-    grid = ~np.ascontiguousarray(unsafe, dtype=bool)
+    grid = np.empty(topology.shape, dtype=bool)
+    np.logical_not(unsafe, out=grid)
     enabled = grid.ravel()
     faulty_flat = np.ascontiguousarray(faulty, dtype=bool).ravel()
 
-    frontier = np.flatnonzero(~enabled & ~faulty_flat)
+    frontier = np.asarray(unsafe_nonfaulty, dtype=np.intp)
     rounds = 0
     meter = _frontier_meter(telemetry)
     while frontier.size:

@@ -29,11 +29,11 @@ from typing import List, Literal, Optional, Tuple
 
 import numpy as np
 
-from repro.core.blocks import FaultyBlock, extract_blocks
+from repro.core.blocks import FaultyBlock, _blocks_from_members, extract_blocks
 from repro.core.distributed import distributed_enabled, distributed_unsafe
 from repro.core.enabling import enabled_fixpoint
-from repro.core.frontier import enabled_fixpoint_sparse, unsafe_fixpoint_sparse
-from repro.core.regions import DisabledRegion, extract_regions
+from repro.core.frontier import _enabled_frontier, _unsafe_frontier
+from repro.core.regions import DisabledRegion, _regions_from_members, extract_regions
 from repro.core.safety import unsafe_fixpoint
 from repro.core.sharded import enabled_fixpoint_sharded, unsafe_fixpoint_sharded
 from repro.core.status import LabelGrid, SafetyDefinition
@@ -41,6 +41,7 @@ from repro.fabric.channel import ChannelModel
 from repro.fabric.stats import RunStats
 from repro.faults.faultset import FaultSet
 from repro.faults.schedule import FaultSchedule
+from repro.geometry.cells import CellSet
 from repro.mesh.tiling import parse_shard_spec
 from repro.mesh.topology import Topology
 from repro.obs.telemetry import Telemetry
@@ -130,13 +131,19 @@ class LabelingResult:
 
     @property
     def num_unsafe_nonfaulty(self) -> int:
-        """Nonfaulty nodes imprisoned by phase 1 (over the whole mesh)."""
-        return int(self.labels.unsafe_nonfaulty.sum())
+        """Nonfaulty nodes imprisoned by phase 1 (over the whole mesh).
+
+        Summed over the blocks, which partition the unsafe nodes, so it
+        costs time per block instead of per grid cell.
+        """
+        return sum(b.num_nonfaulty for b in self.blocks)
 
     @property
     def num_activated(self) -> int:
-        """Nonfaulty nodes freed by phase 2 (over the whole mesh)."""
-        return int(self.labels.activated.sum())
+        """Nonfaulty nodes freed by phase 2 (over the whole mesh): the
+        imprisoned ones minus those the regions (which partition the
+        disabled nodes) still hold."""
+        return self.num_unsafe_nonfaulty - sum(r.num_nonfaulty for r in self.regions)
 
     @property
     def enabled_ratio(self) -> float:
@@ -281,6 +288,8 @@ def label_mesh(
     if shard is not None and backend != "vectorized":
         raise ValueError("shard= requires backend='vectorized'")
     faulty = faults.mask
+    fault_idx = _flat_members(faults)
+    unsafe_idx: Optional[np.ndarray] = None  # unsafe members, when known
     tel = telemetry
     events_on = tel is not None and tel.wants("info")
     if backend == "vectorized" and shard is not None:
@@ -324,33 +333,35 @@ def label_mesh(
         )
         stats1 = stats2 = None
     elif backend == "vectorized":
-        m1 = _resolve_method(method, topology, int(np.count_nonzero(faulty)))
+        m1 = _resolve_method(method, topology, len(faults))
         if events_on:
             tel.emit("phase_transition", phase="unsafe", status="start")
         tel1 = tel.child(phase="unsafe") if tel is not None else None
         span1 = tel.span("phase_unsafe", kernel=m1) if tel is not None else _NULL_SPAN
         with span1:
             if m1 == "frontier":
-                unsafe, rounds1 = unsafe_fixpoint_sparse(
-                    topology, faulty, definition, telemetry=tel1
+                unsafe, rounds1, flipped = _unsafe_frontier(
+                    topology, faulty, definition, telemetry=tel1, seeds=fault_idx
                 )
+                unsafe_idx = np.concatenate((fault_idx, flipped))
             else:
                 unsafe, rounds1 = unsafe_fixpoint(topology, faulty, definition)
+                unsafe_idx = np.flatnonzero(unsafe)
         if events_on:
             tel.emit(
                 "phase_transition", phase="unsafe", status="end", rounds=rounds1
             )
-        m2 = _resolve_method(
-            method, topology, int(np.count_nonzero(unsafe & ~faulty))
-        )
+        nonfaulty_idx = unsafe_idx[~faulty.ravel()[unsafe_idx]]
+        m2 = _resolve_method(method, topology, nonfaulty_idx.size)
         if events_on:
             tel.emit("phase_transition", phase="enable", status="start")
         tel2 = tel.child(phase="enable") if tel is not None else None
         span2 = tel.span("phase_enable", kernel=m2) if tel is not None else _NULL_SPAN
         with span2:
             if m2 == "frontier":
-                enabled, rounds2 = enabled_fixpoint_sparse(
-                    topology, faulty, unsafe, telemetry=tel2
+                enabled, rounds2 = _enabled_frontier(
+                    topology, faulty, unsafe, fault_idx, nonfaulty_idx,
+                    telemetry=tel2,
                 )
             else:
                 enabled, rounds2 = enabled_fixpoint(topology, faulty, unsafe)
@@ -386,6 +397,7 @@ def label_mesh(
             # fault set, seeded from the re-converged phase-1 labels.
             faults = schedule.check_shape(faults.shape).final_faults(faults)
             faulty = faults.mask
+            fault_idx = _flat_members(faults)
         if events_on:
             tel.emit("phase_transition", phase="enable", status="start")
         span2 = (
@@ -410,13 +422,15 @@ def label_mesh(
     else:
         raise ValueError(f"unknown backend {backend!r}")
 
-    return assemble_result(
+    return _assemble(
         topology=topology,
         faults=faults,
         definition=definition,
         faulty=faulty,
         unsafe=unsafe,
         enabled=enabled,
+        fault_idx=fault_idx,
+        unsafe_idx=np.flatnonzero(unsafe) if unsafe_idx is None else unsafe_idx,
         rounds_phase1=rounds1,
         rounds_phase2=rounds2,
         backend=backend,
@@ -453,16 +467,66 @@ def assemble_result(
     planes converged by other means.  On a torus the planes are rolled
     to the unwrap frame, so callers must pass copies they do not need.
     """
+    return _assemble(
+        topology=topology,
+        faults=faults,
+        definition=definition,
+        faulty=faulty,
+        unsafe=unsafe,
+        enabled=enabled,
+        fault_idx=np.flatnonzero(faulty),
+        unsafe_idx=np.flatnonzero(unsafe),
+        rounds_phase1=rounds_phase1,
+        rounds_phase2=rounds_phase2,
+        backend=backend,
+        stats_phase1=stats_phase1,
+        stats_phase2=stats_phase2,
+        method=method,
+        geometry_backend=geometry_backend,
+        telemetry=telemetry,
+    )
+
+
+def _assemble(
+    topology: Topology,
+    faults: FaultSet,
+    definition: SafetyDefinition,
+    faulty: "np.ndarray",
+    unsafe: "np.ndarray",
+    enabled: "np.ndarray",
+    fault_idx: "np.ndarray",
+    unsafe_idx: "np.ndarray",
+    rounds_phase1: int,
+    rounds_phase2: int,
+    backend: str,
+    stats_phase1: Optional[RunStats],
+    stats_phase2: Optional[RunStats],
+    method: str,
+    geometry_backend: GeometryBackend,
+    telemetry: Optional[Telemetry],
+) -> LabelingResult:
+    """:func:`assemble_result` given the flat (row-major) indices of the
+    faulty and of the unsafe cells, in any order.  The vectorized
+    extraction runs on those member lists, so apart from the label
+    checks and the torus roll nothing here touches the whole grid."""
     tel = telemetry
     events_on = tel is not None and tel.wants("info")
+    shape = topology.shape
     unwrap_shift = (0, 0)
     if topology.wraps:
-        unwrap_shift = _torus_unwrap_shift(unsafe)
-        dx, dy = unwrap_shift
-        faulty = np.roll(np.roll(faulty, dx, axis=0), dy, axis=1)
-        unsafe = np.roll(np.roll(unsafe, dx, axis=0), dy, axis=1)
-        enabled = np.roll(np.roll(enabled, dx, axis=0), dy, axis=1)
-        faults = FaultSet.from_mask(faulty)
+        unwrap_shift = _torus_unwrap_shift(unsafe_idx, shape)
+        faulty, unsafe, enabled = (
+            np.roll(plane, unwrap_shift, axis=(0, 1))
+            for plane in (faulty, unsafe, enabled)
+        )
+        fault_idx = _shifted(fault_idx, shape, unwrap_shift)
+        unsafe_idx = _shifted(unsafe_idx, shape, unwrap_shift)
+        # The rolled plane is ours: share it instead of copying it.
+        faults = FaultSet(
+            CellSet._from_box(shape, (0, 0), faulty, fault_idx.size)
+        )
+    fx, fy = np.unravel_index(np.sort(fault_idx), shape)
+    ux, uy = np.unravel_index(np.sort(unsafe_idx), shape)
 
     labels = LabelGrid(faulty=faulty, unsafe=unsafe, enabled=enabled)
     if events_on:
@@ -473,7 +537,10 @@ def assemble_result(
         else _NULL_SPAN
     )
     with span_b:
-        blocks = extract_blocks(unsafe, faulty, backend=geometry_backend)
+        if geometry_backend == "vectorized":
+            blocks = _blocks_from_members(shape, ux, uy, fx, fy)
+        else:
+            blocks = extract_blocks(unsafe, faulty, backend=geometry_backend)
     if events_on:
         tel.emit(
             "phase_transition",
@@ -489,9 +556,13 @@ def assemble_result(
         else _NULL_SPAN
     )
     with span_r:
-        regions = extract_regions(
-            labels.disabled, faulty, backend=geometry_backend
-        )
+        if geometry_backend == "vectorized":
+            held = ~enabled[ux, uy]
+            regions = _regions_from_members(shape, ux[held], uy[held], fx, fy)
+        else:
+            regions = extract_regions(
+                labels.disabled, faulty, backend=geometry_backend
+            )
     if events_on:
         tel.emit(
             "phase_transition",
@@ -517,10 +588,29 @@ def assemble_result(
     )
 
 
-def _torus_unwrap_shift(unsafe: "np.ndarray") -> Tuple[int, int]:
+def _flat_members(faults: FaultSet) -> "np.ndarray":
+    """Row-major flat indices of the faults, at the cost of the fault
+    set's stored box: one scan when it stores the whole grid, far less
+    when it stores a box around the faults."""
+    xs, ys = faults.cells.members()
+    return xs * faults.shape[1] + ys
+
+
+def _shifted(
+    idx: "np.ndarray", shape: Tuple[int, int], shift: Tuple[int, int]
+) -> "np.ndarray":
+    """Flat indices moved by the cyclic shift ``np.roll`` applies."""
+    xs, ys = np.divmod(idx, shape[1])
+    return (xs + shift[0]) % shape[0] * shape[1] + (ys + shift[1]) % shape[1]
+
+
+def _torus_unwrap_shift(
+    unsafe_idx: "np.ndarray", shape: Tuple[int, int]
+) -> Tuple[int, int]:
     """Cyclic shift placing an all-safe column at x=0 and row at y=0.
 
-    With the seam column/row empty of unsafe nodes, grid-frame connected
+    ``unsafe_idx`` holds the flat indices of the unsafe nodes.  With
+    the seam column/row empty of unsafe nodes, grid-frame connected
     components coincide with torus components and no block or region
     straddles the boundary.
 
@@ -532,12 +622,13 @@ def _torus_unwrap_shift(unsafe: "np.ndarray") -> Tuple[int, int]:
         paper's sparse-fault regime (f <= n on an n x n torus) cannot
         trigger this.
     """
-    col_free = ~unsafe.any(axis=1)
-    row_free = ~unsafe.any(axis=0)
+    xs, ys = np.divmod(unsafe_idx, shape[1])
+    col_free = np.bincount(xs, minlength=shape[0]) == 0
+    row_free = np.bincount(ys, minlength=shape[1]) == 0
     if not col_free.any() or not row_free.any():
         raise ValueError(
             "cannot unwrap torus labels: unsafe nodes occupy every column or row"
         )
     x0 = int(np.argmax(col_free))
     y0 = int(np.argmax(row_free))
-    return (-x0 % unsafe.shape[0], -y0 % unsafe.shape[1])
+    return (-x0 % shape[0], -y0 % shape[1])

@@ -16,7 +16,7 @@ extracts the regions and computes their bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -107,9 +107,26 @@ def extract_regions(
             regions.append(DisabledRegion(cells=comp, faults=faults_in))
         return regions
 
-    shape = disabled.shape
-    xs, ys = member_coords(disabled)
-    fx, fy = member_coords(faulty)
+    return _regions_from_members(
+        disabled.shape, *member_coords(disabled), *member_coords(faulty)
+    )
+
+
+def _regions_from_members(
+    shape: Tuple[int, int],
+    xs: np.ndarray,
+    ys: np.ndarray,
+    fx: np.ndarray,
+    fy: np.ndarray,
+) -> List[DisabledRegion]:
+    """The vectorized core of :func:`extract_regions`, on member lists.
+
+    ``(xs, ys)`` are the disabled cells and ``(fx, fy)`` the faults,
+    each in row-major order (what :func:`member_coords` returns), so
+    every step costs time in proportion to the members, never the grid.
+    Same output and the same :class:`GeometryError` checks as the
+    public function.
+    """
     # Fault containment and fault->region mapping in one binary search.
     lin = xs * shape[1] + ys
     flin = fx * shape[1] + fy

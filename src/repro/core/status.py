@@ -24,7 +24,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.errors import GeometryError
-from repro.geometry.cells import CellSet
+from repro.geometry.cells import CellSet, member_coords
 from repro.types import BoolGrid, Coord
 
 __all__ = ["SafetyDefinition", "NodeStatus", "LabelGrid"]
@@ -67,6 +67,29 @@ class NodeStatus(enum.Enum):
         return self in (NodeStatus.SAFE_ENABLED, NodeStatus.UNSAFE_ENABLED)
 
 
+#: Cells per chunk of :func:`_covers`: enough to amortise the per-chunk
+#: calls, few enough that the buffer stays in cache.
+_CHUNK_CELLS = 1 << 18
+
+
+def _covers(a: BoolGrid, b: BoolGrid) -> bool:
+    """Whether every cell is set in ``a`` or in ``b``.
+
+    One pass over row chunks into a reused chunk-sized buffer, so the
+    check needs no grid-sized ``a | b`` temporary.  Works on any memory
+    layout (C or Fortran order, strided or rolled views).
+    """
+    width, height = a.shape
+    rows = max(1, _CHUNK_CELLS // max(height, 1))
+    buf = np.empty((min(rows, width), height), dtype=bool)
+    for x in range(0, width, rows):
+        out = buf[: min(rows, width - x)]
+        np.logical_or(a[x : x + rows], b[x : x + rows], out=out)
+        if not out.all():
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class LabelGrid:
     """The three boolean label planes produced by the pipeline.
@@ -90,11 +113,15 @@ class LabelGrid:
         shapes = {self.faulty.shape, self.unsafe.shape, self.enabled.shape}
         if len(shapes) != 1:
             raise GeometryError(f"label planes disagree on shape: {shapes}")
-        if np.any(self.faulty & ~self.unsafe):
+        # The fault checks gather at the fault members; the safe-node
+        # check covers every cell in one chunked pass.  Both are exact
+        # and allocate nothing grid-sized.
+        fx, fy = member_coords(self.faulty)
+        if not np.all(self.unsafe[fx, fy]):
             raise GeometryError("invariant violated: a faulty node is not unsafe")
-        if np.any(self.faulty & self.enabled):
+        if np.any(self.enabled[fx, fy]):
             raise GeometryError("invariant violated: a faulty node is enabled")
-        if np.any(~self.unsafe & ~self.enabled):
+        if not _covers(self.unsafe, self.enabled):
             raise GeometryError("invariant violated: a safe node is disabled")
 
     @property
