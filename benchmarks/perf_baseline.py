@@ -31,7 +31,8 @@ Times the hot paths this repository optimises —
 * the batched traffic engine: the scalar per-packet reference engine
   vs the numpy column engine on identical traffic (the ``routing`` CI
   gate, also runnable alone via ``--gate-routing``; results must be
-  bit-for-bit equal), the routing payoff of the region views over the
+  bit-for-bit equal, and the gate also pins the detour kernel's batched
+  run to the reference on a contended campaign), the routing payoff of the region views over the
   rectangle faulty-block view under contending traffic, the scalar
   wormhole oracle at the 1e5-packet scale, and (full mode) the
   million-packet 256x256 saturation campaign comparing the rectangle
@@ -964,6 +965,36 @@ def bench_routing(
 _ROUTING_GATE_MIN_SPEEDUP = 20.0
 
 
+def _detour_gate_equal(
+    size: int = 48, faults: int = 30, packets: int = 20_000, rate: float = 80.0
+) -> bool:
+    """Batched vs reference, detour kernel, on a campaign above the knee.
+
+    The timed gate pair runs the XY kernel, whose lanes never hold
+    detour state.  This check covers what it cannot: stalled packets
+    keeping a cached detour decision and its pending state change under
+    heavy contention (clustered faults, region view; the offered rate
+    is about three times the delivered throughput).  Equality only, no
+    timing bound.
+    """
+    topo = Mesh2D(size, size)
+    fset = clustered(
+        topo.shape, faults, np.random.default_rng(7), clusters=5, spread=1.6
+    )
+    view = FaultModelView.from_regions(label_mesh(topo, fset))
+    traffic = synthetic_traffic(
+        view, packets, np.random.default_rng(3), injection_rate=rate
+    )
+    fast = BatchedNetwork(view, kernel="detour").run(traffic)
+    slow = BatchedNetwork(view, kernel="detour", engine="reference").run(traffic)
+    equal = fast.equals(slow)
+    print(
+        f"gate-routing: detour {size}x{size} ({faults} faults, {packets} packets, "
+        f"{int(fast.stalls.sum())} stalls) batched == reference: {equal}"
+    )
+    return equal
+
+
 def gate_routing(
     size: int = 160, packets: int = 150_000, faults: int = 100, rate: float = 5000.0
 ) -> int:
@@ -971,6 +1002,9 @@ def gate_routing(
     t_ref, t_batched, _, equal = _routing_gate_pair(size, faults, packets, rate, 3)
     if not equal:
         print("gate-routing: FAIL (batched diverged from the scalar reference)")
+        return 1
+    if not _detour_gate_equal():
+        print("gate-routing: FAIL (detour batched diverged from the reference)")
         return 1
     speedup = t_ref / t_batched
     print(

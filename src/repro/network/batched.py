@@ -7,23 +7,35 @@ the simpler *store-and-forward* discipline the paper's payoff argument
 actually needs (one packet = one unit, one hop per cycle, per-link
 capacity one) and keeps **every in-flight packet in parallel numpy
 arrays**: position, destination, detour state, inject/start/finish
-cycle, hop and stall counters.  One simulated cycle is one fused array
-pass:
+cycle and hop counter.  One simulated cycle is a few fused array
+passes:
 
 1. **admit** packets whose inject cycle arrived (bad endpoints drop
    with ``BAD_ENDPOINT``; source == dest delivers locally with zero
    latency),
 2. **budget-check** (``hops >= max_hops`` drops with ``BUDGET``),
-3. **decide** next hops for the whole batch through a vectorized
-   routing kernel (:mod:`repro.routing.vectorized`); kernel-blocked
-   packets drop with ``BLOCKED``,
-4. **contend**: each directed link carries one packet per cycle.  The
-   winner is the *oldest* packet (lowest packet id — ids are assigned
-   in inject order).  Scattering proposal indices into a per-link
-   occupancy array in *reverse* id order leaves the lowest (= oldest)
-   index in place, which is exactly that age priority; losers stall,
-5. **move** winners, committing detour state only for packets that
-   moved, and retire arrivals (``finish = cycle + 1``).
+3. **route**: decide next hops through a vectorized routing kernel
+   (:mod:`repro.routing.vectorized`) for the *stale* lanes only — new
+   admissions and the last cycle's movers.  Every other packet stalled
+   last cycle with unchanged position and detour state, and a decision
+   is a lane-wise pure function of those, so it keeps the proposal
+   cached when it was last decided: next cell and directed link id.
+   Detour-state changes are written back at once, since a packet's
+   state is read only by its next decide, which follows its next move.
+   Kernel-blocked packets drop with ``BLOCKED``,
+4. **arbitrate**: each directed link carries one packet per cycle.
+   The winner is the *oldest* packet (lowest packet id — ids are
+   assigned in inject order).  Scattering lane indices over the cached
+   link column in *reverse* id order leaves the lowest (= oldest) index
+   in place, which is exactly that age priority; losers stall and keep
+   their cache,
+5. **commit** winners: the cached next cell becomes the position,
+   arrivals retire (``finish = cycle + 1``) and the rest go stale.
+
+A packet's stall count is derived when it retires: it contends once
+per cycle from admission until it retires and loses exactly the rounds
+it did not move in, so it stalled for its contention rounds minus its
+hops.
 
 Determinism
 -----------
@@ -32,9 +44,13 @@ functions of committed state, and contention is resolved by first
 occurrence in id order — so a run is a deterministic function of
 ``(view, kernel, traffic, max_cycles)``, independent of batch size or
 chunking.  ``engine="reference"`` replays the identical schedule with
-scalar Python loops (the oracle, following the
-``geometry_backend="reference"`` convention); property tests pin the
-two bit-for-bit.
+scalar Python loops that decide every packet every cycle (the oracle,
+following the ``geometry_backend="reference"`` convention); property
+tests pin the two bit-for-bit.
+
+With a :class:`~repro.obs.telemetry.Telemetry` that has a span recorder,
+each cycle records ``traffic_route``, ``traffic_arbitrate`` and
+``traffic_commit`` spans, nested under the caller's span.
 
 Idle gaps with nothing in flight are skipped by fast-forwarding the
 clock to the next injection, so low injection rates cost nothing.
@@ -44,6 +60,7 @@ links contend, packets never drop for queue space).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -82,10 +99,12 @@ _REASONS = (
     DropReason.BAD_ENDPOINT,
 )
 
-# Direction code per hop delta: E=0 (x+1), W=1 (x-1), N=2 (y+1),
-# S=3 (y-1); indexed by (ddx + 2*ddy + 2).  Index 2 is the zero delta
-# (tombstoned lanes), mapped arbitrarily — their link is faked anyway.
-_DIR_LUT = np.array([3, 1, 2, 0, 2], dtype=np.int32)
+_NO_SPAN = nullcontext()
+
+
+def _no_span(name: str):
+    """The span hook of an untraced run: a shared no-op context."""
+    return _NO_SPAN
 
 
 def nearest_rank(values: np.ndarray, q: float) -> float:
@@ -223,6 +242,58 @@ class BatchedResult:
         return "results equal"
 
 
+class _Lanes:
+    """In-flight packets of one batched run as parallel lane columns.
+
+    Lanes are ascending by packet id (``pid``), so lane order is age
+    order.  ``x, y`` is a stale lane's position and, once the lane is
+    decided, the next cell it proposes — which becomes its position the
+    cycle it wins the link.  ``link`` is the directed link of that
+    cached proposal (the engine's shared dead link once the lane
+    retires) and ``arrives`` whether the proposal reaches the
+    destination.  ``state`` holds the kernel's detour columns.
+    """
+
+    __slots__ = ("pid", "x", "y", "dx", "dy", "hops", "link", "arrives", "state")
+
+    @classmethod
+    def empty(cls, kern: TrafficKernel) -> "_Lanes":
+        lanes = cls()
+        lanes.pid = np.empty(0, dtype=np.intp)
+        for name in ("x", "y", "dx", "dy", "hops"):
+            setattr(lanes, name, np.empty(0, dtype=np.int32))
+        lanes.link = np.empty(0, dtype=np.intp)
+        lanes.arrives = np.empty(0, dtype=bool)
+        lanes.state = kern.new_state(0)
+        return lanes
+
+    @property
+    def size(self) -> int:
+        return self.pid.size
+
+    def extend(self, pid, x, y, dx, dy) -> None:
+        """Append fresh lanes (zero hops, idle detour state)."""
+        k = pid.size
+        cat = np.concatenate
+        self.pid = cat((self.pid, pid))
+        self.x = cat((self.x, x))
+        self.y = cat((self.y, y))
+        self.dx = cat((self.dx, dx))
+        self.dy = cat((self.dy, dy))
+        self.hops = cat((self.hops, np.zeros(k, dtype=np.int32)))
+        self.link = cat((self.link, np.zeros(k, dtype=np.intp)))
+        self.arrives = cat((self.arrives, np.zeros(k, dtype=bool)))
+        if self.state is not None:
+            self.state = self.state.append_idle(k)
+
+    def keep(self, idx: np.ndarray) -> None:
+        """Reorder or filter every column by a lane index array."""
+        for name in self.__slots__[:-1]:  # every array column
+            setattr(self, name, getattr(self, name).take(idx))
+        if self.state is not None:
+            self.state = self.state.select(idx)
+
+
 class BatchedNetwork:
     """Store-and-forward traffic simulator with batched numpy advancement.
 
@@ -315,7 +386,15 @@ class BatchedNetwork:
         kern = self.kernel
         enabled = kern.enabled
         height = kern.height
-        nlinks = kern.width * height * 4
+        max_hops = self.max_hops
+        # A hop's directed link id is ``5 * source cell + dx + 2 * dy + 2``
+        # with ``source cell = x * height + y``: the four unit hops take
+        # codes 0, 1, 3 and 4 (2 would stay put, which no live lane
+        # proposes).  The one id past them is the shared link of every
+        # dead lane.
+        dead = kern.width * height * 5
+        if dead >= np.iinfo(np.int32).max:
+            raise RoutingError("mesh too large for int32 link ids")
 
         status = np.full(n, _PENDING, dtype=np.int8)
         reason = np.full(n, _R_NONE, dtype=np.int8)
@@ -323,6 +402,7 @@ class BatchedNetwork:
         finish = np.full(n, -1, dtype=np.int64)
         hops = np.zeros(n, dtype=np.int64)
         stalls = np.zeros(n, dtype=np.int64)
+        admitted = np.zeros(n, dtype=np.int64)  # cycle each packet got a lane
 
         order = np.argsort(inject, kind="stable")
         inj_sorted = inject[order]
@@ -330,43 +410,44 @@ class BatchedNetwork:
         cycle = 0
         budget_floor = float("inf")
 
-        # In-flight packets live in compact *lanes* — parallel arrays
-        # indexed by lane, not packet id.  Retired lanes are tombstoned
-        # (``alive`` False) and ride along, excluded from contention by
-        # a unique fake link id, until the dead fraction crosses
-        # 1/_COMPACT_FRAC and one compaction sweeps them out.  This
-        # keeps the per-cycle loop free of id-indexed gather/scatter.
-        cid = np.empty(0, dtype=np.int64)  # packet ids, ascending
-        cpx = np.empty(0, dtype=np.int32)
-        cpy = np.empty(0, dtype=np.int32)
-        cdx = np.empty(0, dtype=np.int32)
-        cdy = np.empty(0, dtype=np.int32)
-        chops = np.empty(0, dtype=np.int64)
-        cstalls = np.empty(0, dtype=np.int64)
-        alive = np.empty(0, dtype=bool)
-        state = kern.new_state(0)
+        # Retired lanes ride along on the dead link, out of contention,
+        # until they exceed 1/_COMPACT_FRAC of the lanes and one
+        # compaction sweeps them out.
+        lanes = _Lanes.empty(kern)
         ndead = 0
+        # Live lanes whose decision inputs changed since their last
+        # decide: new admissions and the last cycle's winners.
+        stale = np.empty(0, dtype=np.intp)
 
         hist_occ = hist_lat = None
+        span = _no_span
         if telemetry is not None:
             hist_occ = telemetry.histogram("link_occupancy")
             hist_lat = telemetry.histogram("packet_latency_cycles")
+            span = telemetry.span
 
-        # Contention scratch: ``winner[link]`` holds the lowest proposal
-        # lane targeting that link this cycle.  Writing lane indices in
+        # Contention scratch: ``winner[link]`` holds the lowest lane
+        # proposing that link this cycle.  Writing lane indices in
         # *reverse* order makes the last (= lowest-lane) write win, with
         # no sort and no per-cycle reset — every link read back was
-        # freshly written this cycle.  Slots past ``nlinks`` are the
-        # fake links that keep dead lanes out of contention.
-        winner = np.zeros(nlinks, dtype=np.int32)
+        # freshly written this cycle.
+        winner = np.zeros(dead + 1, dtype=np.int32)
         iota = np.empty(0, dtype=np.int32)
-        fake = np.empty(0, dtype=np.int32)  # nlinks + lane, per lane
 
-        def flush(mask):
-            """Write a retiring lane subset's counters back by id."""
-            rows = cid[mask]
-            hops[rows] = chops[mask]
-            stalls[rows] = cstalls[mask]
+        def retire(idx, end, code, why=_R_NONE):
+            """Write retiring lanes back by packet id and kill the lanes.
+
+            A lane contends once per cycle from admission until ``end``
+            and loses exactly the rounds it did not move in, so its
+            stall count is its contention rounds minus its hops.
+            """
+            rows = lanes.pid.take(idx)
+            moved = lanes.hops.take(idx)
+            hops[rows] = moved
+            stalls[rows] = end - admitted[rows] - moved
+            status[rows] = code
+            reason[rows] = why
+            lanes.link[idx] = dead
             return rows
 
         while cycle < max_cycles:
@@ -391,141 +472,119 @@ class BatchedNetwork:
                     if live.size:
                         # A lane gains at most one hop per cycle, so no
                         # budget drop can fire before this floor.
-                        budget_floor = min(
-                            budget_floor, cycle + self.max_hops
+                        budget_floor = min(budget_floor, cycle + max_hops)
+                        admitted[live] = cycle
+                        m = lanes.size
+                        lanes.extend(live, sx[live], sy[live], dx[live], dy[live])
+                        stale = np.concatenate(
+                            (stale, np.arange(m, lanes.size, dtype=np.intp))
                         )
-                        cid = np.concatenate((cid, live))
-                        cpx = np.concatenate((cpx, sx[live]))
-                        cpy = np.concatenate((cpy, sy[live]))
-                        cdx = np.concatenate((cdx, dx[live]))
-                        cdy = np.concatenate((cdy, dy[live]))
-                        z = np.zeros(live.size, dtype=np.int64)
-                        chops = np.concatenate((chops, z))
-                        cstalls = np.concatenate((cstalls, z))
-                        alive = np.concatenate(
-                            (alive, np.ones(live.size, dtype=bool))
-                        )
-                        if state is not None:
-                            state = state.append_idle(live.size)
-                        if np.any(np.diff(cid) < 0):
+                        if np.any(np.diff(lanes.pid[max(m - 1, 0) :]) < 0):
                             # Custom traffic may inject out of id order;
                             # contention needs lanes ascending by id.
-                            o = np.argsort(cid, kind="stable")
-                            cid = cid[o]
-                            cpx, cpy = cpx[o], cpy[o]
-                            cdx, cdy = cdx[o], cdy[o]
-                            chops, cstalls = chops[o], cstalls[o]
-                            alive = alive[o]
-                            if state is not None:
-                                state = state.select(o)
-                        if winner.size < nlinks + cid.size:
-                            winner = np.zeros(
-                                nlinks + cid.size, dtype=np.int32
-                            )
-                        if iota.size < cid.size:
-                            iota = np.arange(cid.size, dtype=np.int32)
-                            fake = nlinks + iota
-            if cid.size - ndead == 0:
-                if cid.size:
+                            o = np.argsort(lanes.pid, kind="stable")
+                            lanes.keep(o)
+                            inv = np.empty_like(o)
+                            inv[o] = np.arange(o.size)
+                            stale = inv[stale]
+                        if iota.size < lanes.size:
+                            iota = np.arange(lanes.size, dtype=np.int32)
+            if lanes.size == ndead:
+                if lanes.size:
                     # Everything in flight retired: drop the lanes.
-                    cid = cid[:0]
-                    cpx, cpy = cpx[:0], cpy[:0]
-                    cdx, cdy = cdx[:0], cdy[:0]
-                    chops, cstalls = chops[:0], cstalls[:0]
-                    alive = alive[:0]
-                    state = kern.new_state(0)
+                    lanes = _Lanes.empty(kern)
                     ndead = 0
                 if ptr >= n:
                     break
                 cycle = int(inj_sorted[ptr])
                 continue
 
-            # 2. hop budget
+            # 2. hop budget: only a lane that just moved can have reached it.
             if cycle >= budget_floor:
-                over = alive & (chops >= self.max_hops)
+                over = lanes.hops.take(stale) >= max_hops
                 if over.any():
-                    rows = flush(over)
-                    status[rows] = _DROPPED
-                    reason[rows] = _R_BUDGET
-                    alive &= ~over
-                    ndead += int(over.sum())
-                    if cid.size - ndead == 0:
+                    gone = stale[over]
+                    retire(gone, cycle, _DROPPED, _R_BUDGET)
+                    ndead += gone.size
+                    stale = stale[~over]
+                    if lanes.size == ndead:
                         continue
 
-            # 3. decide (dead lanes compute garbage that stays isolated:
-            # their proposals get fake links, their status writes are
-            # masked by ``alive``, and their counters were flushed).
-            nx, ny, blocked, changes = kern.decide(cpx, cpy, cdx, cdy, state)
-            drop = alive & blocked
-            if drop.any():
-                rows = flush(drop)
-                status[rows] = _DROPPED
-                reason[rows] = _R_BLOCKED
-                alive &= ~blocked
-                ndead += int(drop.sum())
-                if cid.size - ndead == 0:
+            # 3. route: decide the stale lanes and cache their proposals.
+            # Every other live lane stalled last cycle with unchanged
+            # inputs, so its cached proposal is exactly what a fresh
+            # decide would return.
+            if stale.size:
+                with span("traffic_route"):
+                    px = lanes.x.take(stale)
+                    py = lanes.y.take(stale)
+                    tx = lanes.dx.take(stale)
+                    ty = lanes.dy.take(stale)
+                    state = lanes.state
+                    nx, ny, blocked, changes = kern.decide(
+                        px, py, tx, ty, None if state is None else state.select(stale)
+                    )
+                    if changes is not None:
+                        # Only the lane's next decide reads its state,
+                        # and that follows its next move, so writing the
+                        # change now is the same as writing it on the move.
+                        state.put(stale[changes[0]], changes[1:])
+                    lanes.link[stale] = (
+                        (px * height + py) * 5 + (nx - px) + 2 * (ny - py) + 2
+                    )
+                    lanes.x[stale] = nx
+                    lanes.y[stale] = ny
+                    lanes.arrives[stale] = (nx == tx) & (ny == ty)
+                    if blocked.any():
+                        gone = stale[blocked]
+                        retire(gone, cycle, _DROPPED, _R_BLOCKED)
+                        ndead += gone.size
+                        stale = stale[~blocked]
+                if lanes.size == ndead:
                     cycle += 1
                     continue
 
-            # 4. contend: one packet per directed link, oldest id wins.
+            # 4. arbitrate: one packet per directed link, oldest id wins.
             # Lanes are ascending by id, so lane order is age order; the
             # reverse-write trick keeps the lowest lane per link.
-            ddx = nx - cpx  # one of (+-1, 0) per dim, at most one nonzero
-            ddy = ny - cpy
-            dircode = _DIR_LUT.take(ddx + 2 * ddy + 2)
-            m = cid.size
-            idx = iota[:m]
-            link = np.where(
-                alive,
-                (cpx * height + cpy) * 4 + dircode,
-                fake[:m],
-            )
-            winner[link[::-1]] = idx[::-1]
-            win = winner[link] == idx
-            cstalls += ~win  # only live losers can lose their link
-            if hist_occ is not None:
-                _, counts = np.unique(link[alive], return_counts=True)
-                hist_occ.observe_many(counts)
+            with span("traffic_arbitrate"):
+                link = lanes.link
+                idx = iota[: link.size]
+                winner[link[::-1]] = idx[::-1]
+                winner[dead] = -1  # dead lanes never win
+                won = np.flatnonzero(winner.take(link) == idx)
+                if hist_occ is not None:
+                    _, counts = np.unique(link[link != dead], return_counts=True)
+                    hist_occ.observe_many(counts)
 
-            # 5. move winners, commit their detour state, retire arrivals.
-            cpx = np.where(win, nx, cpx)
-            cpy = np.where(win, ny, cpy)
-            chops += win
-            if changes is not None:
-                crows = changes[0]
-                sel = win[crows]
-                if sel.any():
-                    g = crows[sel]
-                    state.on[g] = changes[1][sel]
-                    state.axis[g] = changes[2][sel]
-                    state.face[g] = changes[3][sel]
-                    state.run[g] = changes[4][sel]
-                    state.rect[g] = changes[5][sel]
-            arrived = alive & win & (cpx == cdx) & (cpy == cdy)
-            if arrived.any():
-                rows = flush(arrived)
-                status[rows] = _DELIVERED
-                finish[rows] = cycle + 1
-                alive &= ~arrived
-                ndead += int(arrived.sum())
+            # 5. commit: a winner's cached next cell is already its lane
+            # position; count the hop, retire arrivals, and mark the
+            # rest stale for next cycle.
+            with span("traffic_commit"):
+                lanes.hops[won] += 1
+                arrived = lanes.arrives.take(won)
+                if arrived.any():
+                    done = won[arrived]
+                    rows = retire(done, cycle + 1, _DELIVERED)
+                    finish[rows] = cycle + 1
+                    ndead += done.size
+                    stale = won[~arrived]
+                else:
+                    stale = won
 
-            if ndead * self._COMPACT_FRAC > cid.size:
-                keep = alive
-                cid = cid[keep]
-                cpx, cpy = cpx[keep], cpy[keep]
-                cdx, cdy = cdx[keep], cdy[keep]
-                chops, cstalls = chops[keep], cstalls[keep]
-                alive = np.ones(cid.size, dtype=bool)
-                if state is not None:
-                    state = state.select(keep)
-                ndead = 0
+                if ndead * self._COMPACT_FRAC > lanes.size:
+                    keep = np.flatnonzero(lanes.link != dead)
+                    stale = np.searchsorted(keep, stale)
+                    lanes.keep(keep)
+                    ndead = 0
 
             cycle += 1
-            if cid.size - ndead == 0 and ptr >= n:
+            if lanes.size == ndead and ptr >= n:
                 break
 
-        if cid.size and alive.any():
-            flush(alive)  # stuck at the horizon: record partial progress
+        live = np.flatnonzero(lanes.link != dead)
+        if live.size:
+            retire(live, cycle, _ACTIVE)  # stuck at the horizon: partial progress
         result = self._result(cols, start, finish, hops, stalls, status, reason, cycle)
         if hist_lat is not None:
             hist_lat.observe_many(result.latencies)

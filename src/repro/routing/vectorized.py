@@ -31,14 +31,19 @@ unbounded recursion by the same bounded replan loop, so the batched
 engine and the scalar reference engine in
 :mod:`repro.network.batched` agree bit-for-bit.
 
-State is *committed on movement only*: ``decide`` returns a sparse
-change-set of detour columns and the engine writes it back just for
-packets that actually moved this cycle.  A stalled packet therefore
-recomputes an identical decision next cycle from unchanged stored
-state, which keeps runs reproducible under any contention
-interleaving.  Rows whose state did not transition are absent from the
-change-set, so the commit cost scales with detour activity, not with
-the in-flight batch.
+A decision is a *lane-wise pure function*: row *i* of every output
+depends only on row *i* of the inputs, so the engine may pass any
+subset of its lanes, in any order.  State changes take effect *on
+movement only*: ``decide`` never writes ``state``; it returns a sparse
+change-set of detour columns that a packet's decisions may see only
+after it has moved.  A stalled packet's inputs are therefore
+unchanged, and the engine reuses the decision it cached instead of
+recomputing it: only newly admitted packets and the last cycle's
+movers are decided.  Since a packet is decided again only after it
+moves, the engine writes each change-set back as soon as it gets it.
+Rows whose state did not transition are absent from the change-set, so
+the commit cost scales with detour activity, not with the in-flight
+batch.
 """
 
 from __future__ import annotations
@@ -73,6 +78,12 @@ ChangeSet = Tuple[
 ]
 
 
+def _step(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``+1`` where ``b > a``, else ``-1``, as int8 (so ``a + step``
+    keeps ``a``'s integer width)."""
+    return ((b > a).view(np.int8) << 1) - 1
+
+
 @dataclass
 class DetourState:
     """Detour columns for *all* packets of a run (length ``n``)."""
@@ -93,15 +104,23 @@ class DetourState:
             rect=np.full(n, -1, dtype=np.int32),
         )
 
-    def select(self, idx) -> "DetourState":
-        """Lanes reordered/filtered by an index array or boolean mask."""
+    def select(self, idx: np.ndarray) -> "DetourState":
+        """Lanes reordered/filtered by an index array."""
         return DetourState(
-            on=self.on[idx],
-            axis=self.axis[idx],
-            face=self.face[idx],
-            run=self.run[idx],
-            rect=self.rect[idx],
+            on=self.on.take(idx),
+            axis=self.axis.take(idx),
+            face=self.face.take(idx),
+            run=self.run.take(idx),
+            rect=self.rect.take(idx),
         )
+
+    def put(self, rows: np.ndarray, values) -> None:
+        """Write ``(on, axis, face, run, rect)`` values into ``rows``
+        (the tail of a :data:`ChangeSet`)."""
+        for col, value in zip(
+            (self.on, self.axis, self.face, self.run, self.rect), values
+        ):
+            col[rows] = value
 
     def append_idle(self, k: int) -> "DetourState":
         """These lanes plus ``k`` fresh idle lanes."""
@@ -186,8 +205,12 @@ class TrafficKernel:
         where ``~blocked``), lanes that must drop with ``BLOCKED``, and
         the sparse :data:`ChangeSet` of detour-state transitions to
         commit for lanes that move (``None`` when no state changed).
-        Lanes already at their destination (the engine's tombstoned
-        dead lanes) come out ``blocked``; the engine ignores them.
+        Lanes already at their destination come out ``blocked``.
+
+        Row *i* of every output depends only on row *i* of the inputs,
+        so a caller may pass any subset of its lanes (the engine passes
+        just the lanes whose inputs changed) and gets the rows it would
+        have got from the whole batch.
         """
         raise NotImplementedError
 
@@ -208,8 +231,8 @@ class XYKernel(TrafficKernel):
 
     def decide(self, px, py, dx, dy, state):
         need_x = px != dx
-        step_x = ((dx > px) << 1) - 1
-        step_y = ((dy > py) << 1) - 1
+        step_x = _step(px, dx)
+        step_y = _step(py, dy)
         nx = np.where(need_x, px + step_x, px)
         ny = np.where(need_x, py, py + step_y)
         ok = self._en_flat.take(nx * self.height + ny, mode="clip")
@@ -276,7 +299,6 @@ class DetourKernel(TrafficKernel):
         return ok, axis, face, run
 
     def decide(self, px, py, dx, dy, state: DetourState):
-        n = px.shape[0]
         hgt = self.height
 
         # Fast path, full width and gather-free: the preferred greedy
@@ -284,8 +306,8 @@ class DetourKernel(TrafficKernel):
         # out below).  This settles the vast majority of the batch; the
         # index-based replan loop below only sees the leftovers, so its
         # per-pass fancy indexing runs over small subsets.
-        step_x = ((dx > px) << 1) - 1  # +-1, int8-promoted
-        step_y = ((dy > py) << 1) - 1
+        step_x = _step(px, dx)
+        step_y = _step(py, dy)
         hx0 = px + step_x
         hy0 = py + step_y
         ix0 = hx0 * hgt + py  # flat index of the preferred X hop
@@ -299,18 +321,31 @@ class DetourKernel(TrafficKernel):
         take_y0 = en_y0 & ~en_x0 & off
         nx = np.where(take_x0, hx0, px)
         ny = np.where(take_y0, hy0, py)
+        blocked = np.zeros(px.shape[0], dtype=bool)
 
-        blocked = np.zeros(n, dtype=bool)
-        changed = np.zeros(n, dtype=bool)
-        # Mutable local copies of the detour lanes (commit-on-move: the
-        # caller's ``state`` must stay untouched until winners land).
-        on_l = state.on.copy()
-        axis_l = state.axis.copy()
-        face_l = state.face.copy()
-        run_l = state.run.copy()
-        rect_l = state.rect.copy()
+        lanes = np.flatnonzero(~(take_x0 | take_y0))
+        if lanes.size == 0:
+            return nx, ny, blocked, None
+        # The leftovers replan over local copies of just their rows
+        # (commit-on-move: the caller's ``state`` stays untouched).
+        # Positions are fixed for the whole decision, so the fast path's
+        # hop candidates and enables stay valid — gather, don't recompute.
+        ax, ay = px[lanes], py[lanes]
+        bx, by = dx[lanes], dy[lanes]
+        need_x, need_y = need_x0[lanes], need_y0[lanes]
+        hx, hy = hx0[lanes], hy0[lanes]
+        ix, iy = ix0[lanes], iy0[lanes]
+        en_x, en_y = en_x0[lanes], en_y0[lanes]
+        on_l = state.on[lanes]
+        axis_l = state.axis[lanes]
+        face_l = state.face[lanes]
+        run_l = state.run[lanes]
+        rect_l = state.rect[lanes]
+        lnx, lny = ax.copy(), ay.copy()
+        lblocked = np.zeros(lanes.size, dtype=bool)
+        changed = np.zeros(lanes.size, dtype=bool)
 
-        work = np.flatnonzero(~(take_x0 | take_y0))
+        work = np.arange(lanes.size)
         for _ in range(self.max_replans):
             if work.size == 0:
                 break
@@ -319,49 +354,40 @@ class DetourKernel(TrafficKernel):
 
             greedy = work[~w_on]
             if greedy.size:
-                # Hop candidates and enables were computed full-width in
-                # the fast path and stay valid (positions are fixed for
-                # the whole decision) — gather, don't recompute.
-                ax, ay = px[greedy], py[greedy]
-                bx, by = dx[greedy], dy[greedy]
-                need_x = need_x0[greedy]
-                need_y = need_y0[greedy]
-                hx = hx0[greedy]
-                hy = hy0[greedy]
-                en_x = en_x0[greedy]
-                take_x = en_x
-                take_y = en_y0[greedy] & ~en_x
+                take_x = en_x[greedy]
+                take_y = en_y[greedy] & ~take_x
                 moved = take_x | take_y
                 rows = greedy[moved]
-                nx[rows] = np.where(take_x[moved], hx[moved], ax[moved])
-                ny[rows] = np.where(take_x[moved], ay[moved], hy[moved])
+                lnx[rows] = np.where(take_x[moved], hx[rows], ax[rows])
+                lny[rows] = np.where(take_x[moved], ay[rows], hy[rows])
 
-                rest = ~moved
-                if rest.any():
+                rest = greedy[~moved]
+                if rest.size:
                     rx = np.where(
-                        need_x & rest,
-                        self._rg_flat.take(ix0[greedy], mode="clip"),
-                        -1,
+                        need_x[rest], self._rg_flat.take(ix[rest], mode="clip"), -1
                     )
                     ry = np.where(
-                        need_y & rest,
-                        self._rg_flat.take(iy0[greedy], mode="clip"),
-                        -1,
+                        need_y[rest], self._rg_flat.take(iy[rest], mode="clip"), -1
                     )
                     use_x = rx >= 0
                     use_y = (ry >= 0) & ~use_x
                     hit = use_x | use_y
-                    blocked[greedy[rest & ~hit]] = True
+                    lblocked[rest[~hit]] = True
                     if hit.any():
-                        bhx = np.where(use_x[hit], hx[hit], ax[hit])
-                        bhy = np.where(use_x[hit], ay[hit], hy[hit])
-                        rid = np.where(use_x[hit], rx[hit], ry[hit])
+                        h = rest[hit]
+                        ux = use_x[hit]
+                        rid = np.where(ux, rx[hit], ry[hit])
                         ok, axis, face, run = self._plan_vec(
-                            ax[hit], ay[hit], bx[hit], by[hit], bhx, bhy, rid
+                            ax[h],
+                            ay[h],
+                            bx[h],
+                            by[h],
+                            np.where(ux, hx[h], ax[h]),
+                            np.where(ux, ay[h], hy[h]),
+                            rid,
                         )
-                        hit_rows = greedy[hit]
-                        blocked[hit_rows[~ok]] = True
-                        planned = hit_rows[ok]
+                        lblocked[h[~ok]] = True
+                        planned = h[ok]
                         on_l[planned] = True
                         axis_l[planned] = axis[ok]
                         face_l[planned] = face[ok]
@@ -372,26 +398,25 @@ class DetourKernel(TrafficKernel):
 
             detour = work[w_on]
             if detour.size:
-                ax, ay = px[detour], py[detour]
-                bx, by = dx[detour], dy[detour]
+                cx, cy = ax[detour], ay[detour]
                 d_axis = axis_l[detour]
                 d_face = face_l[detour]
                 d_run = run_l[detour]
                 d_rect = rect_l[detour]
-                cross = np.where(d_axis == 0, ay, ax)
+                cross = np.where(d_axis == 0, cy, cx)
                 sliding = cross != d_face
                 sdir = np.where(d_face > cross, 1, -1).astype(np.int32)
-                sx = np.where(d_axis == 0, ax, ax + sdir)
-                sy = np.where(d_axis == 0, ay + sdir, ay)
+                sx = np.where(d_axis == 0, cx, cx + sdir)
+                sy = np.where(d_axis == 0, cy + sdir, cy)
                 slide_en = self._en_flat.take(sx * hgt + sy, mode="clip")
                 slide_ok = sliding & slide_en
                 rows = detour[slide_ok]
-                nx[rows] = sx[slide_ok]
-                ny[rows] = sy[slide_ok]
-                blocked[detour[sliding & ~slide_en]] = True
+                lnx[rows] = sx[slide_ok]
+                lny[rows] = sy[slide_ok]
+                lblocked[detour[sliding & ~slide_en]] = True
 
                 running = ~sliding
-                along = np.where(d_axis == 0, ax, ay)
+                along = np.where(d_axis == 0, cx, cy)
                 done = running & (along == d_run)
                 done_rows = detour[done]
                 on_l[done_rows] = False
@@ -401,12 +426,12 @@ class DetourKernel(TrafficKernel):
                 go = running & ~done
                 if go.any():
                     rdir = np.where(d_run > along, 1, -1).astype(np.int32)
-                    gx = np.where(d_axis == 0, ax + rdir, ax)
-                    gy = np.where(d_axis == 0, ay, ay + rdir)
+                    gx = np.where(d_axis == 0, cx + rdir, cx)
+                    gy = np.where(d_axis == 0, cy, cy + rdir)
                     run_ok = go & self._en_flat.take(gx * hgt + gy, mode="clip")
                     rows = detour[run_ok]
-                    nx[rows] = gx[run_ok]
-                    ny[rows] = gy[run_ok]
+                    lnx[rows] = gx[run_ok]
+                    lny[rows] = gy[run_ok]
 
                     collide = go & ~run_ok
                     if collide.any():
@@ -418,20 +443,20 @@ class DetourKernel(TrafficKernel):
                             & (other >= 0)
                             & ~self.isect[o_safe, r_safe]
                         )
-                        blocked[detour[collide & ~chain]] = True
+                        lblocked[detour[collide & ~chain]] = True
                         if chain.any():
+                            c = detour[chain]
                             ok, axis, face, run = self._plan_vec(
-                                ax[chain],
-                                ay[chain],
-                                bx[chain],
-                                by[chain],
+                                ax[c],
+                                ay[c],
+                                bx[c],
+                                by[c],
                                 gx[chain],
                                 gy[chain],
                                 other[chain],
                             )
-                            chain_rows = detour[chain]
-                            blocked[chain_rows[~ok]] = True
-                            nested = chain_rows[ok]
+                            lblocked[c[~ok]] = True
+                            nested = c[ok]
                             axis_l[nested] = axis[ok]
                             face_l[nested] = face[ok]
                             run_l[nested] = run[ok]
@@ -443,13 +468,16 @@ class DetourKernel(TrafficKernel):
                 np.concatenate(stay) if stay else np.empty(0, dtype=np.int64)
             )
         # Replan budget exhausted without a move proposal: honest drop.
-        blocked[work] = True
+        lblocked[work] = True
 
+        nx[lanes] = lnx
+        ny[lanes] = lny
+        blocked[lanes] = lblocked
         rows = np.flatnonzero(changed)
         changes = None
         if rows.size:
             changes = (
-                rows,
+                lanes[rows],
                 on_l[rows],
                 axis_l[rows],
                 face_l[rows],

@@ -3,17 +3,18 @@
 The bit-for-bit oracle equivalence lives in
 ``tests/properties/test_batched_traffic_props.py``; this file pins the
 concrete behaviours the property grid cannot name individually —
-latency accounting, drop reasons, contention priority, empty-run
-semantics, the synthetic traffic generators, and the sweep/telemetry
-wiring.
+latency accounting, drop reasons, contention priority, the
+decide-once-per-move count, empty-run semantics, the synthetic traffic
+generators, and the sweep/telemetry and per-cycle span wiring.
 """
 
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core import label_mesh
 from repro.errors import RoutingError
-from repro.faults import FaultSet
+from repro.faults import FaultSet, clustered
 from repro.mesh import Mesh2D
 from repro.network import (
     BatchedNetwork,
@@ -23,10 +24,11 @@ from repro.network import (
     nearest_rank,
     synthetic_traffic,
 )
-from repro.obs import JSONLSink, MemorySink, MetricsRegistry, Telemetry
+from repro.obs import JSONLSink, MemorySink, MetricsRegistry, SpanRecorder, Telemetry
 from repro.obs.events import validate_event
 from repro.obs.summarize import format_summary, summarize_trace
 from repro.routing import FaultModelView
+from repro.routing.vectorized import DetourKernel, XYKernel
 
 W = H = 8
 
@@ -182,6 +184,104 @@ class TestDeterminism:
             BatchedNetwork(clean_view(), engine="quantum")
         with pytest.raises(RoutingError):
             BatchedNetwork(clean_view(), kernel="warp")
+
+
+def counting(kernel_cls):
+    """A kernel subclass that counts the lanes passed to ``decide``."""
+
+    class Counting(kernel_cls):
+        decided = 0
+
+        def decide(self, px, py, dx, dy, state):
+            self.decided += px.size
+            return super().decide(px, py, dx, dy, state)
+
+    return Counting
+
+
+class TestDecideOncePerMove:
+    """A lane is decided when it is admitted and after each hop it
+    survives; a stalled lane reuses its cached decision.  So over a run
+    that ends before the horizon::
+
+        lanes decided == live admissions + total hops
+                         - lane deliveries - budget drops
+
+    (a delivered lane's last hop and a budget-dropped lane's last hop
+    are never followed by a decide; a blocked lane dies inside one).
+    """
+
+    @pytest.fixture(scope="class")
+    def congested(self):
+        n = 16
+        topo = Mesh2D(n, n)
+        faults = clustered(
+            topo.shape, 12, np.random.default_rng(5), clusters=3, spread=1.5
+        )
+        view = FaultModelView.from_regions(label_mesh(topo, faults))
+        traffic = synthetic_traffic(
+            view, 4000, np.random.default_rng(6), injection_rate=80.0
+        )
+        return view, traffic
+
+    @pytest.mark.parametrize("kernel_cls", [XYKernel, DetourKernel])
+    @pytest.mark.parametrize("max_hops", [None, 20])
+    def test_decided_lanes_equal_moves(self, congested, kernel_cls, max_hops):
+        view, traffic = congested
+        kernel = counting(kernel_cls)(view)
+        res = BatchedNetwork(view, kernel=kernel, max_hops=max_hops).run(traffic)
+        assert res.num_stuck == 0  # the identity needs no horizon cut
+        assert res.stalls.sum() > res.hops.sum() // 2  # really congested
+        assert res.drop_counts().get("BLOCKED", 0) > 0
+        moved = res.hops > 0
+        live = int((res.start >= 0).sum() - (res.delivered_mask & ~moved).sum())
+        delivered = int((res.delivered_mask & moved).sum())
+        budget = res.drop_counts().get("BUDGET", 0)
+        if max_hops is not None:
+            assert budget > 0
+        assert kernel.decided == live + int(res.hops.sum()) - delivered - budget
+        reference = BatchedNetwork(
+            view, kernel=kernel_cls.name, engine="reference", max_hops=max_hops
+        ).run(traffic)
+        assert res.equals(reference), res.diff_summary(reference)
+
+
+class TestTrafficSpans:
+    def test_cycle_spans_nest_under_caller(self, tmp_path):
+        blocks, _ = faulty_views([(3, 3), (3, 4), (6, 1)])
+        traffic = synthetic_traffic(
+            blocks, 600, np.random.default_rng(2), injection_rate=6.0
+        )
+        recorder = SpanRecorder()
+        telemetry = Telemetry(spans=recorder)
+        with telemetry.span("campaign"):
+            res = BatchedNetwork(blocks).run(traffic, telemetry=telemetry)
+        assert res.equals(BatchedNetwork(blocks).run(traffic))
+
+        events = [
+            e for e in recorder.to_chrome_trace()["traceEvents"] if e["ph"] == "X"
+        ]
+        (outer,) = [e for e in events if e["name"] == "campaign"]
+        inner = [e for e in events if e is not outer]
+        counts = {}
+        for e in inner:
+            counts[e["name"]] = counts.get(e["name"], 0) + 1
+            assert outer["ts"] <= e["ts"]
+            assert e["ts"] + e["dur"] <= outer["ts"] + outer["dur"] + 1e-6
+        assert set(counts) == {
+            "traffic_route",
+            "traffic_arbitrate",
+            "traffic_commit",
+        }
+        # One arbitrate and one commit per contention cycle, at most one
+        # route per cycle.
+        assert counts["traffic_arbitrate"] == counts["traffic_commit"]
+        assert counts["traffic_route"] <= res.cycles
+        assert counts["traffic_arbitrate"] <= res.cycles
+
+        path = tmp_path / "spans.json"
+        recorder.write(str(path))
+        assert main(["obs", "validate", str(path)]) == 0
 
 
 class TestResultStats:

@@ -60,7 +60,22 @@ def make_view(topo_kind, faults, view_kind, definition=SafetyDefinition.DEF_2B):
     return FaultModelView.from_regions(result)
 
 
+def custom_traffic(seed, n=250):
+    """Hand-built traffic: endpoints anywhere on the grid (disabled ones
+    drop with ``BAD_ENDPOINT``, equal ones deliver locally) and inject
+    cycles out of id order, a few of them negative."""
+    rng = np.random.default_rng(seed)
+    sx, sy, dx, dy = (rng.integers(0, W, n).astype(np.int32) for _ in range(4))
+    inject = rng.integers(-2, 40, n).astype(np.int64)
+    return BatchedTraffic(sx=sx, sy=sy, dx=dx, dy=dy, inject=inject)
+
+
 class TestEngineEquality:
+    # Besides views, kernels and load, the draws reach every way a lane
+    # can die: a small hop budget (budget drops under contention), a
+    # short horizon (lanes stuck mid-flight, as ``injection_sweep``'s
+    # ``drain_factor`` produces) and custom traffic admitted out of id
+    # order.
     @given(
         fault_sets(),
         st.sampled_from(["mesh", "torus"]),
@@ -69,20 +84,38 @@ class TestEngineEquality:
         st.sampled_from(list(SafetyDefinition)),
         st.integers(0, 2**31 - 1),
         st.floats(0.25, 8.0),
+        st.one_of(st.none(), st.integers(0, 16)),
+        st.one_of(st.just(1_000_000), st.integers(0, 150)),
+        st.booleans(),
     )
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_batched_equals_reference(
-        self, faults, topo_kind, view_kind, kernel, definition, seed, rate
+        self,
+        faults,
+        topo_kind,
+        view_kind,
+        kernel,
+        definition,
+        seed,
+        rate,
+        max_hops,
+        max_cycles,
+        custom,
     ):
         view = make_view(topo_kind, faults, view_kind, definition)
         assume(view.num_enabled >= 2)
-        traffic = synthetic_traffic(
-            view, 250, np.random.default_rng(seed), injection_rate=rate
+        if custom:
+            traffic = custom_traffic(seed)
+        else:
+            traffic = synthetic_traffic(
+                view, 250, np.random.default_rng(seed), injection_rate=rate
+            )
+        fast = BatchedNetwork(view, kernel=kernel, max_hops=max_hops).run(
+            traffic, max_cycles
         )
-        fast = BatchedNetwork(view, kernel=kernel).run(traffic)
-        slow = BatchedNetwork(view, kernel=kernel, engine="reference").run(
-            traffic
-        )
+        slow = BatchedNetwork(
+            view, kernel=kernel, engine="reference", max_hops=max_hops
+        ).run(traffic, max_cycles)
         assert fast.equals(slow), fast.diff_summary(slow)
 
     @given(fault_sets(), st.integers(0, 2**31 - 1), st.integers(1, 12))
