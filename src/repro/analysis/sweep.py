@@ -8,24 +8,18 @@ replication, returning rows ready for
 ``jobs > 1`` distributes the (value, trial) grid over the amortized
 chunked executor of :mod:`repro.analysis.executor`: a warm process pool
 shared across sweeps, chunk sizes calibrated from the first cell's
-measured cost, and an automatic serial fallback when the sweep is too
-small to amortize the pool — so ``jobs > 1`` is never slower than
-serial.  Every cell's generator is derived from ``(seed, value_index,
-trial_index)`` alone, so results are bit-identical to a serial sweep
-regardless of scheduling, chunking, or fallback; aggregation happens in
-deterministic (value, trial) order either way.  The metric function
+measured cost, and an automatic serial fallback when the sweep looks
+too small to amortize the pool (the committed benchmark records a
+100x100 sweep at 0.908x serial speed with ``jobs=2``, so the fallback
+is an estimate, not a guarantee).  Every cell's generator is derived
+from ``(seed, value_index, trial_index)`` alone, so results are
+bit-identical to a serial sweep regardless of scheduling, chunking, or
+fallback; aggregation happens in deterministic (value, trial) order
+either way.  The metric function
 must be picklable (a module-level function) when ``jobs > 1``.  Note
 that the fallback evaluates cells in the parent process; pass an
 explicit ``chunk_size`` to force worker isolation for metrics that may
 crash their process.
-
-Metric functions may themselves label through the tile-sharded
-fixpoints (``label_mesh(..., shard=...)``, see :mod:`repro.core.sharded`):
-inside a parallel sweep's worker processes the sharded driver detects
-the nesting and solves its tiles serially instead of spawning a pool
-inside a pool, so a sharded metric is safe at any ``jobs`` and still
-bit-identical to its serial evaluation — the (value, trial) grid stays
-the single source of process parallelism.
 
 Sweeps degrade gracefully: a cell whose metric function raises does not
 abort the sweep.  The cell contributes no samples and is recorded as a

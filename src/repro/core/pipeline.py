@@ -23,9 +23,9 @@ the regions, round counts and the Figure-5 ratio.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import List, Literal, Optional, Tuple
+from typing import Dict, Iterator, List, Literal, Optional, Tuple
 
 import numpy as np
 
@@ -35,14 +35,12 @@ from repro.core.enabling import enabled_fixpoint
 from repro.core.frontier import _enabled_frontier, _unsafe_frontier
 from repro.core.regions import DisabledRegion, _regions_from_members, extract_regions
 from repro.core.safety import unsafe_fixpoint
-from repro.core.sharded import enabled_fixpoint_sharded, unsafe_fixpoint_sharded
 from repro.core.status import LabelGrid, SafetyDefinition
 from repro.fabric.channel import ChannelModel
 from repro.fabric.stats import RunStats
 from repro.faults.faultset import FaultSet
 from repro.faults.schedule import FaultSchedule
 from repro.geometry.cells import CellSet
-from repro.mesh.tiling import parse_shard_spec
 from repro.mesh.topology import Topology
 from repro.obs.telemetry import Telemetry
 
@@ -75,6 +73,30 @@ def _resolve_method(method: str, topology: Topology, active_cells: int) -> str:
     if method not in ("dense", "frontier"):
         raise ValueError(f"unknown method {method!r}")
     return method
+
+
+@contextmanager
+def _phase(
+    tel: Optional[Telemetry], phase: str, span: str, **tags: str
+) -> Iterator[Tuple[Optional[Telemetry], Dict[str, int]]]:
+    """Telemetry around one pipeline phase.
+
+    Emits a ``phase_transition`` start event, runs the body inside the
+    ``span`` profiling span tagged with ``tags``, and emits the end
+    event with the fields the body stored in the yielded dict
+    (``rounds=`` for a labeling phase, ``count=`` for an extraction).
+    The body also gets a ``phase``-labeled child telemetry to thread
+    into its kernel; without telemetry it gets ``None`` and nothing is
+    emitted or recorded.
+    """
+    end: Dict[str, int] = {}
+    events_on = tel is not None and tel.wants("info")
+    if events_on:
+        tel.emit("phase_transition", phase=phase, status="start")
+    with tel.span(span, **tags) if tel is not None else _NULL_SPAN:
+        yield (tel.child(phase=phase) if tel is not None else None), end
+    if events_on:
+        tel.emit("phase_transition", phase=phase, status="end", **end)
 
 
 @dataclass(frozen=True)
@@ -200,8 +222,6 @@ def label_mesh(
     channel: Optional[ChannelModel] = None,
     telemetry: Optional[Telemetry] = None,
     geometry_backend: GeometryBackend = "vectorized",
-    shard: Optional[str] = None,
-    jobs: int = 1,
 ) -> LabelingResult:
     """Run the full two-phase pipeline.
 
@@ -255,18 +275,6 @@ def label_mesh(
         bincount reductions, ``"reference"`` the per-cell BFS oracle.
         Labels, blocks and regions are bit-for-bit identical (property
         tested); the reference backend exists for cross-checking.
-    shard:
-        Vectorized backend only: a tile spec (``"KxK"`` or ``"auto"``)
-        switches both phases to the tile-sharded halo-exchange fixpoints
-        of :mod:`repro.core.sharded` — identical labels (property
-        tested), with ``rounds_phase1`` / ``rounds_phase2`` counting
-        **tile rounds** (halo-exchange generations) instead of Jacobi
-        rounds.  ``None`` (default) keeps the single-array kernels.
-    jobs:
-        Shard mode only: worker processes for tile solves, dispatched
-        through the warm-pool executor over shared-memory planes (no
-        label plane is pickled).  ``1`` solves tiles serially; any
-        value yields identical labels.
 
     Returns
     -------
@@ -285,60 +293,13 @@ def label_mesh(
         raise ValueError(
             "fault schedules and lossy channels require backend='distributed'"
         )
-    if shard is not None and backend != "vectorized":
-        raise ValueError("shard= requires backend='vectorized'")
     faulty = faults.mask
     fault_idx = _flat_members(faults)
     unsafe_idx: Optional[np.ndarray] = None  # unsafe members, when known
     tel = telemetry
-    events_on = tel is not None and tel.wants("info")
-    if backend == "vectorized" and shard is not None:
-        tiling = parse_shard_spec(shard, topology.shape, jobs)
-        if events_on:
-            tel.emit("phase_transition", phase="unsafe", status="start")
-        tel1 = tel.child(phase="unsafe") if tel is not None else None
-        span1 = (
-            tel.span("phase_unsafe", kernel="sharded")
-            if tel is not None
-            else _NULL_SPAN
-        )
-        with span1:
-            unsafe, rounds1 = unsafe_fixpoint_sharded(
-                topology, faulty, definition,
-                tiling=tiling, jobs=jobs, method=method, telemetry=tel1,
-            )
-        if events_on:
-            tel.emit(
-                "phase_transition", phase="unsafe", status="end", rounds=rounds1
-            )
-        if events_on:
-            tel.emit("phase_transition", phase="enable", status="start")
-        tel2 = tel.child(phase="enable") if tel is not None else None
-        span2 = (
-            tel.span("phase_enable", kernel="sharded")
-            if tel is not None
-            else _NULL_SPAN
-        )
-        with span2:
-            enabled, rounds2 = enabled_fixpoint_sharded(
-                topology, faulty, unsafe,
-                tiling=tiling, jobs=jobs, method=method, telemetry=tel2,
-            )
-        if events_on:
-            tel.emit(
-                "phase_transition", phase="enable", status="end", rounds=rounds2
-            )
-        method_used = (
-            f"sharded[{tiling.tile_width}x{tiling.tile_height},jobs={jobs}]"
-        )
-        stats1 = stats2 = None
-    elif backend == "vectorized":
+    if backend == "vectorized":
         m1 = _resolve_method(method, topology, len(faults))
-        if events_on:
-            tel.emit("phase_transition", phase="unsafe", status="start")
-        tel1 = tel.child(phase="unsafe") if tel is not None else None
-        span1 = tel.span("phase_unsafe", kernel=m1) if tel is not None else _NULL_SPAN
-        with span1:
+        with _phase(tel, "unsafe", "phase_unsafe", kernel=m1) as (tel1, end):
             if m1 == "frontier":
                 unsafe, rounds1, flipped = _unsafe_frontier(
                     topology, faulty, definition, telemetry=tel1, seeds=fault_idx
@@ -347,17 +308,10 @@ def label_mesh(
             else:
                 unsafe, rounds1 = unsafe_fixpoint(topology, faulty, definition)
                 unsafe_idx = np.flatnonzero(unsafe)
-        if events_on:
-            tel.emit(
-                "phase_transition", phase="unsafe", status="end", rounds=rounds1
-            )
+            end["rounds"] = rounds1
         nonfaulty_idx = unsafe_idx[~faulty.ravel()[unsafe_idx]]
         m2 = _resolve_method(method, topology, nonfaulty_idx.size)
-        if events_on:
-            tel.emit("phase_transition", phase="enable", status="start")
-        tel2 = tel.child(phase="enable") if tel is not None else None
-        span2 = tel.span("phase_enable", kernel=m2) if tel is not None else _NULL_SPAN
-        with span2:
+        with _phase(tel, "enable", "phase_enable", kernel=m2) as (tel2, end):
             if m2 == "frontier":
                 enabled, rounds2 = _enabled_frontier(
                     topology, faulty, unsafe, fault_idx, nonfaulty_idx,
@@ -365,58 +319,28 @@ def label_mesh(
                 )
             else:
                 enabled, rounds2 = enabled_fixpoint(topology, faulty, unsafe)
-        if events_on:
-            tel.emit(
-                "phase_transition", phase="enable", status="end", rounds=rounds2
-            )
+            end["rounds"] = rounds2
         method_used = m1 if m1 == m2 else f"{m1}+{m2}"
         stats1 = stats2 = None
     elif backend == "distributed":
-        if events_on:
-            tel.emit("phase_transition", phase="unsafe", status="start")
-        span1 = (
-            tel.span("phase_unsafe", kernel="fabric")
-            if tel is not None
-            else _NULL_SPAN
-        )
-        with span1:
+        with _phase(tel, "unsafe", "phase_unsafe", kernel="fabric") as (tel1, end):
             unsafe, stats1, _ = distributed_unsafe(
                 topology, faults, definition, chatty=chatty,
-                schedule=schedule, channel=channel,
-                telemetry=tel.child(phase="unsafe") if tel is not None else None,
+                schedule=schedule, channel=channel, telemetry=tel1,
             )
-        if events_on:
-            tel.emit(
-                "phase_transition",
-                phase="unsafe",
-                status="end",
-                rounds=stats1.rounds,
-            )
+            end["rounds"] = stats1.rounds
         if schedule is not None and schedule:
             # Crashes settled during phase 1; phase 2 runs on the final
             # fault set, seeded from the re-converged phase-1 labels.
             faults = schedule.check_shape(faults.shape).final_faults(faults)
             faulty = faults.mask
             fault_idx = _flat_members(faults)
-        if events_on:
-            tel.emit("phase_transition", phase="enable", status="start")
-        span2 = (
-            tel.span("phase_enable", kernel="fabric")
-            if tel is not None
-            else _NULL_SPAN
-        )
-        with span2:
+        with _phase(tel, "enable", "phase_enable", kernel="fabric") as (tel2, end):
             enabled, stats2, _ = distributed_enabled(
                 topology, faults, unsafe, chatty=chatty, channel=channel,
-                telemetry=tel.child(phase="enable") if tel is not None else None,
+                telemetry=tel2,
             )
-        if events_on:
-            tel.emit(
-                "phase_transition",
-                phase="enable",
-                status="end",
-                rounds=stats2.rounds,
-            )
+            end["rounds"] = stats2.rounds
         rounds1, rounds2 = stats1.rounds, stats2.rounds
         method_used = "n/a"
     else:
@@ -509,8 +433,6 @@ def _assemble(
     faulty and of the unsafe cells, in any order.  The vectorized
     extraction runs on those member lists, so apart from the label
     checks and the torus roll nothing here touches the whole grid."""
-    tel = telemetry
-    events_on = tel is not None and tel.wants("info")
     shape = topology.shape
     unwrap_shift = (0, 0)
     if topology.wraps:
@@ -529,33 +451,17 @@ def _assemble(
     ux, uy = np.unravel_index(np.sort(unsafe_idx), shape)
 
     labels = LabelGrid(faulty=faulty, unsafe=unsafe, enabled=enabled)
-    if events_on:
-        tel.emit("phase_transition", phase="extract_blocks", status="start")
-    span_b = (
-        tel.span("extract_blocks", backend=geometry_backend)
-        if tel is not None
-        else _NULL_SPAN
-    )
-    with span_b:
+    with _phase(
+        telemetry, "extract_blocks", "extract_blocks", backend=geometry_backend
+    ) as (_, end):
         if geometry_backend == "vectorized":
             blocks = _blocks_from_members(shape, ux, uy, fx, fy)
         else:
             blocks = extract_blocks(unsafe, faulty, backend=geometry_backend)
-    if events_on:
-        tel.emit(
-            "phase_transition",
-            phase="extract_blocks",
-            status="end",
-            count=len(blocks),
-        )
-    if events_on:
-        tel.emit("phase_transition", phase="extract_regions", status="start")
-    span_r = (
-        tel.span("extract_regions", backend=geometry_backend)
-        if tel is not None
-        else _NULL_SPAN
-    )
-    with span_r:
+        end["count"] = len(blocks)
+    with _phase(
+        telemetry, "extract_regions", "extract_regions", backend=geometry_backend
+    ) as (_, end):
         if geometry_backend == "vectorized":
             held = ~enabled[ux, uy]
             regions = _regions_from_members(shape, ux[held], uy[held], fx, fy)
@@ -563,13 +469,7 @@ def _assemble(
             regions = extract_regions(
                 labels.disabled, faulty, backend=geometry_backend
             )
-    if events_on:
-        tel.emit(
-            "phase_transition",
-            phase="extract_regions",
-            status="end",
-            count=len(regions),
-        )
+        end["count"] = len(regions)
     return LabelingResult(
         topology=topology,
         faults=faults,

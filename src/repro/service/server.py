@@ -78,7 +78,7 @@ from repro.errors import ReproError, ServiceError
 from repro.obs.telemetry import Telemetry
 from repro.service.labeling import LabelingService
 
-__all__ = ["LabelingServer", "handle_request", "serve_forever"]
+__all__ = ["LabelingServer", "handle_request"]
 
 #: Shared no-op telemetry for the untraced dispatch path (every guard
 #: in it stays false, so the cost is a few predictable branches).
@@ -579,8 +579,16 @@ class LabelingServer:
 
     def serve_forever(self) -> None:
         """Block serving requests until :meth:`shutdown` (or the
-        ``shutdown`` op / ``max_requests``)."""
-        self._server.serve_forever(poll_interval=0.05)
+        ``shutdown`` op / ``max_requests``), then close the listening
+        socket: a client connecting after the loop ended is refused at
+        once instead of waiting out its timeout in the accept backlog.
+        Connections already accepted keep being served, so a following
+        :meth:`drain` can refuse their next request; :meth:`close`
+        releases the rest."""
+        try:
+            self._server.serve_forever(poll_interval=0.05)
+        finally:
+            self._server.socket.close()
 
     def serve_in_thread(self) -> threading.Thread:
         """Start serving on a daemon thread; returns the thread."""
@@ -615,7 +623,7 @@ class LabelingServer:
         return drained
 
     def close(self) -> None:
-        """Release the listening socket."""
+        """Release the listening socket (idempotent)."""
         self._server.server_close()
 
     def __enter__(self) -> "LabelingServer":
@@ -625,10 +633,3 @@ class LabelingServer:
         self.shutdown()
         self.close()
 
-
-def serve_forever(server: LabelingServer) -> None:
-    """Module-level convenience used by the CLI."""
-    try:
-        server.serve_forever()
-    finally:
-        server.close()

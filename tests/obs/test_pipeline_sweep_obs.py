@@ -18,27 +18,49 @@ def _faults(topo):
 
 
 class TestPipelineTelemetry:
-    def test_phase_transitions_emitted(self):
+    @pytest.mark.parametrize(
+        "backend, method",
+        [("vectorized", "dense"), ("vectorized", "frontier"), ("distributed", "auto")],
+    )
+    def test_phase_transitions_emitted(self, backend, method):
         sink = MemorySink()
+        rec = SpanRecorder()
         topo = Mesh2D(10, 10)
-        result = label_mesh(topo, _faults(topo), telemetry=Telemetry(sinks=(sink,)))
+        # A diagonal pair makes phase 1 flip cells, so rounds are nonzero.
+        faults = FaultSet.from_coords(topo.shape, [(2, 2), (3, 3), (6, 5)])
+        result = label_mesh(
+            topo, faults, backend=backend, method=method,
+            telemetry=Telemetry(sinks=(sink,), spans=rec),
+        )
+        assert result.rounds_phase1 > 0
         events = sink.events("phase_transition")
-        assert [(e.fields["phase"], e.fields["status"]) for e in events] == [
-            ("unsafe", "start"),
-            ("unsafe", "end"),
-            ("enable", "start"),
-            ("enable", "end"),
-            ("extract_blocks", "start"),
-            ("extract_blocks", "end"),
-            ("extract_regions", "start"),
-            ("extract_regions", "end"),
+        assert [e.fields for e in events] == [
+            {"phase": "unsafe", "status": "start"},
+            {"phase": "unsafe", "status": "end", "rounds": result.rounds_phase1},
+            {"phase": "enable", "status": "start"},
+            {"phase": "enable", "status": "end", "rounds": result.rounds_phase2},
+            {"phase": "extract_blocks", "status": "start"},
+            {"phase": "extract_blocks", "status": "end", "count": len(result.blocks)},
+            {"phase": "extract_regions", "status": "start"},
+            {
+                "phase": "extract_regions",
+                "status": "end",
+                "count": len(result.regions),
+            },
         ]
-        ends = {e.fields["phase"]: e.fields for e in events
-                if e.fields["status"] == "end"}
-        assert ends["unsafe"]["rounds"] == result.rounds_phase1
-        assert ends["enable"]["rounds"] == result.rounds_phase2
-        assert ends["extract_blocks"]["count"] == len(result.blocks)
-        assert ends["extract_regions"]["count"] == len(result.regions)
+        kernel = method if backend == "vectorized" else "fabric"
+        phase_spans = {
+            "phase_unsafe": {"kernel": kernel},
+            "phase_enable": {"kernel": kernel},
+            "extract_blocks": {"backend": "vectorized"},
+            "extract_regions": {"backend": "vectorized"},
+        }
+        spans = [
+            (e["name"], e["args"])
+            for e in rec.to_chrome_trace()["traceEvents"]
+            if e["name"] in phase_spans
+        ]
+        assert spans == list(phase_spans.items())
 
     def test_phase_spans_recorded(self):
         rec = SpanRecorder()

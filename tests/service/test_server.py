@@ -10,6 +10,7 @@ server.
 import json
 import socket as socket_module
 import threading
+import time
 
 import pytest
 
@@ -251,6 +252,24 @@ class TestSocketRoundTrips:
         assert not thread.is_alive()
         server.close()
 
+    def test_connect_after_shutdown_op_fails_fast(self, service):
+        server = LabelingServer(service)
+        host, port = server.address
+        thread = server.serve_in_thread()
+        with ServiceClient.connect_tcp(host, port) as client:
+            client.shutdown()
+        thread.join(timeout=5)
+        start = time.monotonic()
+        with pytest.raises(OSError):
+            sock = socket_module.create_connection((host, port), timeout=5)
+            try:
+                sock.sendall(b'{"op": "ping"}\n')
+                sock.makefile("rb").readline()
+            finally:
+                sock.close()
+        assert time.monotonic() - start < 1.0
+        server.close()  # idempotent: the serve loop already closed it
+
     def test_max_requests_bounds_the_server(self, service):
         server = LabelingServer(service, max_requests=2)
         host, port = server.address
@@ -458,6 +477,30 @@ class TestServerHardening:
         server.close()
         assert not failures
         assert service.verify_against_scratch()
+
+    def test_live_connection_survives_shutdown_op_until_drain(self, service):
+        """The serve loop returns at once after a ``shutdown`` op even
+        with a client still connected, and that client's next request
+        is refused by the drain that follows."""
+        server = LabelingServer(service)
+        host, port = server.address
+        thread = server.serve_in_thread()
+        with ServiceClient.connect_tcp(host, port) as live:
+            assert live.ping() == 1
+            with ServiceClient.connect_tcp(host, port) as stopper:
+                stopper.shutdown()
+            start = time.monotonic()
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+            assert time.monotonic() - start < 1.0
+            assert server.drain(timeout=5)
+            response = live.request(
+                {"op": "update", "inject": [[10, 10]], "repair": []}
+            )
+            assert response["ok"] is False
+            assert "server is draining" in response["error"]
+        assert service.stats()["faults"] == len(FAULTS)
+        server.close()
 
     def test_drain_finalizes_durable_service(self, tmp_path):
         from repro.service import list_state
